@@ -164,8 +164,16 @@ fn island_aware() -> RouterSpec {
     }
 }
 
+/// FNV-1a over the bytes of `s`.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 /// Asymmetric topologies stay deterministic: the same seed reproduces
-/// every metric bit for bit.
+/// every metric bit for bit, and the island-aware run reproduces its
+/// pinned digest.
 #[test]
 fn asymmetric_runs_are_deterministic() {
     let a = run_simulation(asymmetric_cfg(42), island_aware()).expect("valid");
@@ -174,6 +182,11 @@ fn asymmetric_runs_are_deterministic() {
         format!("{a:#?}"),
         format!("{b:#?}"),
         "same seed, different metrics under an asymmetric topology"
+    );
+    let got = fnv1a(&format!("{a:#?}"));
+    assert_eq!(
+        got, 0xf9ba_2519_f5ca_b4ed,
+        "island-aware RunMetrics digest {got:#018x} diverged from the pinned run"
     );
 }
 
