@@ -15,7 +15,7 @@
 //! to the routing of the new transaction").
 
 use crate::params::SystemParams;
-use crate::response::{response_times, ContentionInputs, HoldTimes, ResponseEstimate};
+use crate::response::{response_times_with, AbortOrder, ContentionInputs, HoldTimes};
 
 /// State observed by a router at decision time.
 ///
@@ -230,12 +230,15 @@ fn utilizations(
 /// Contention inputs from observed lock counts, following Section 3.2.1:
 /// "the probabilities of contention are estimated from the number of locks
 /// held", e.g. `P = n_lock / lockspace`.
-fn contention_from_observation(params: &SystemParams, obs: &Observed) -> ContentionInputs {
+fn contention_from_observation(
+    params: &SystemParams,
+    holds: &HoldTimes,
+    obs: &Observed,
+) -> ContentionInputs {
     let s = params.slice();
     let l = params.lockspace;
     let d = params.comm_delay;
     let nl = params.locks_per_txn;
-    let holds = HoldTimes::nominal(params);
 
     let p_ll = (obs.locks_local / s).min(1.0);
     // Central locks are uniform over the whole space; the share in any one
@@ -264,7 +267,87 @@ fn contention_from_observation(params: &SystemParams, obs: &Observed) -> Content
     }
 }
 
-/// Produces the case-(1)/case-(2) estimates a dynamic router compares.
+/// The part of the dynamic routing estimate that depends only on the
+/// system parameters: the validated parameters, the nominal lock spans and
+/// their collision-order probabilities. Build it once per parameter set
+/// and call [`RouteModel::estimate`] per decision; only the arithmetic
+/// that depends on the observation runs there.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RouteModel {
+    params: SystemParams,
+    holds: HoldTimes,
+    order: AbortOrder,
+}
+
+impl RouteModel {
+    /// Validates `params` and evaluates their collision-order
+    /// probabilities.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params` fail validation.
+    #[must_use]
+    pub fn new(params: &SystemParams) -> Self {
+        params.validate().expect("invalid system parameters");
+        let holds = HoldTimes::nominal(params);
+        RouteModel {
+            params: *params,
+            holds,
+            order: AbortOrder::new(&holds, params.comm_delay),
+        }
+    }
+
+    /// The parameters the model was built for.
+    #[must_use]
+    pub fn params(&self) -> &SystemParams {
+        &self.params
+    }
+
+    /// Produces the case-(1)/case-(2) estimates a dynamic router compares.
+    #[must_use]
+    pub fn estimate(&self, obs: &Observed, estimator: UtilizationEstimator) -> RouteEstimates {
+        let params = &self.params;
+        let holds = &self.holds;
+        let c = contention_from_observation(params, holds, obs);
+        let response =
+            |rho_l, rho_c| response_times_with(params, rho_l, rho_c, &c, holds, &self.order);
+
+        // Utilizations seen by the newcomer (state as observed, self excluded).
+        let (rho_l_base, rho_c_base) = utilizations(params, obs, estimator, 0.0, 0.0);
+        let base = response(rho_l_base, rho_c_base);
+
+        // Case 1: newcomer routed locally — others see a busier local site.
+        let (rho_l_plus, _) = utilizations(params, obs, estimator, 1.0, 0.0);
+        let case1 = response(rho_l_plus, rho_c_base);
+
+        // Case 2: newcomer shipped — others see a busier central complex.
+        let (_, rho_c_plus) = utilizations(params, obs, estimator, 0.0, 1.0);
+        let case2 = response(rho_l_base, rho_c_plus);
+
+        RouteEstimates {
+            run_local: CaseEstimate {
+                r_incoming: base.r_local,
+                r_local: case1.r_local,
+                // Routing the newcomer locally leaves the central complex (and
+                // the other sites' origin processing) unchanged for the
+                // transactions already in the system.
+                r_central: base.r_central,
+                rho_local: rho_l_plus,
+                rho_central: rho_c_base,
+            },
+            ship: CaseEstimate {
+                r_incoming: base.r_central,
+                r_local: case2.r_local,
+                r_central: case2.r_central,
+                rho_local: rho_l_base,
+                rho_central: rho_c_plus,
+            },
+        }
+    }
+}
+
+/// Produces the case-(1)/case-(2) estimates a dynamic router compares,
+/// building a [`RouteModel`] for this one call.
 ///
 /// # Panics
 ///
@@ -275,41 +358,7 @@ pub fn estimate_route_cases(
     obs: &Observed,
     estimator: UtilizationEstimator,
 ) -> RouteEstimates {
-    params.validate().expect("invalid system parameters");
-    let c = contention_from_observation(params, obs);
-    let holds = HoldTimes::nominal(params);
-
-    // Utilizations seen by the newcomer (state as observed, self excluded).
-    let (rho_l_base, rho_c_base) = utilizations(params, obs, estimator, 0.0, 0.0);
-    let base: ResponseEstimate = response_times(params, rho_l_base, rho_c_base, &c, &holds);
-
-    // Case 1: newcomer routed locally — others see a busier local site.
-    let (rho_l_plus, _) = utilizations(params, obs, estimator, 1.0, 0.0);
-    let case1 = response_times(params, rho_l_plus, rho_c_base, &c, &holds);
-
-    // Case 2: newcomer shipped — others see a busier central complex.
-    let (_, rho_c_plus) = utilizations(params, obs, estimator, 0.0, 1.0);
-    let case2 = response_times(params, rho_l_base, rho_c_plus, &c, &holds);
-
-    RouteEstimates {
-        run_local: CaseEstimate {
-            r_incoming: base.r_local,
-            r_local: case1.r_local,
-            // Routing the newcomer locally leaves the central complex (and
-            // the other sites' origin processing) unchanged for the
-            // transactions already in the system.
-            r_central: base.r_central,
-            rho_local: rho_l_plus,
-            rho_central: rho_c_base,
-        },
-        ship: CaseEstimate {
-            r_incoming: base.r_central,
-            r_local: case2.r_local,
-            r_central: case2.r_central,
-            rho_local: rho_l_base,
-            rho_central: rho_c_plus,
-        },
-    }
+    RouteModel::new(params).estimate(obs, estimator)
 }
 
 /// The utilization estimate used by the tuned queue-length heuristic of

@@ -6,10 +6,11 @@
 //! 1. **Static load sharing** ([`solve_static`], [`optimal_static_ship`]):
 //!    given arrival rates, find the probability `p_ship` of shipping an
 //!    incoming class A transaction that minimizes mean response time.
-//! 2. **Dynamic routing estimation** ([`estimate_route_cases`]): at each
-//!    arrival, estimate the response-time consequences of running locally
-//!    vs. shipping, from observed queue lengths / populations / lock counts
-//!    (Sections 3.2.1–3.2.2).
+//! 2. **Dynamic routing estimation** ([`RouteModel`],
+//!    [`estimate_route_cases`]): at each arrival, estimate the
+//!    response-time consequences of running locally vs. shipping, from
+//!    observed queue lengths / populations / lock counts (Sections
+//!    3.2.1–3.2.2).
 //! 3. **Model validation**: the `analytic_check` experiment compares these
 //!    predictions against the discrete-event simulator.
 //!
@@ -43,7 +44,7 @@ mod static_opt;
 
 pub use dynamic::{
     estimate_route_cases, heuristic_utilizations, CaseEstimate, Observed, RouteEstimates,
-    UtilizationEstimator,
+    RouteModel, UtilizationEstimator,
 };
 pub use model::{solve_static, StaticSolution};
 pub use params::SystemParams;

@@ -181,6 +181,51 @@ impl ResponseEstimate {
     }
 }
 
+/// Who-finishes-first probabilities for one set of lock spans and one
+/// communications delay: for each pairing of a local first run (`bl`,
+/// span `beta_l`) or re-run (`gl`, `gamma_l`) with a central first run
+/// (`bc`, `beta_c`) or re-execution (`gc`, `gamma_c`), the probability that
+/// the local side of a collision is the victim, as requester (`req_*`,
+/// [`p_local_loses_as_requester`]) and as holder (`hold_*`,
+/// [`p_local_loses_as_holder`]).
+///
+/// Each is a numerical integral that depends on nothing but the spans and
+/// the delay, so a caller whose spans stay fixed builds this once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct AbortOrder {
+    req_bl_bc: f64,
+    req_bl_gc: f64,
+    req_gl_bc: f64,
+    req_gl_gc: f64,
+    hold_bl_bc: f64,
+    hold_bl_gc: f64,
+    hold_gl_bc: f64,
+    hold_gl_gc: f64,
+}
+
+impl AbortOrder {
+    /// Evaluates the eight integrals for spans `holds` and one-way delay
+    /// `d`.
+    pub(crate) fn new(holds: &HoldTimes, d: f64) -> Self {
+        let HoldTimes {
+            beta_l,
+            gamma_l,
+            beta_c,
+            gamma_c,
+        } = *holds;
+        AbortOrder {
+            req_bl_bc: p_local_loses_as_requester(beta_l, beta_c, d),
+            req_bl_gc: p_local_loses_as_requester(beta_l, gamma_c, d),
+            req_gl_bc: p_local_loses_as_requester(gamma_l, beta_c, d),
+            req_gl_gc: p_local_loses_as_requester(gamma_l, gamma_c, d),
+            hold_bl_bc: p_local_loses_as_holder(beta_l, beta_c, d),
+            hold_bl_gc: p_local_loses_as_holder(beta_l, gamma_c, d),
+            hold_gl_bc: p_local_loses_as_holder(gamma_l, beta_c, d),
+            hold_gl_gc: p_local_loses_as_holder(gamma_l, gamma_c, d),
+        }
+    }
+}
+
 /// Evaluates the Section 3.1 response-time equations once.
 ///
 /// `rho_local` / `rho_central` are CPU utilizations (capped at [`RHO_CAP`]
@@ -194,6 +239,20 @@ pub fn response_times(
     rho_central: f64,
     c: &ContentionInputs,
     holds: &HoldTimes,
+) -> ResponseEstimate {
+    let order = AbortOrder::new(holds, params.comm_delay);
+    response_times_with(params, rho_local, rho_central, c, holds, &order)
+}
+
+/// [`response_times`] with the collision-order probabilities supplied;
+/// `order` must be `AbortOrder::new(holds, params.comm_delay)`.
+pub(crate) fn response_times_with(
+    params: &SystemParams,
+    rho_local: f64,
+    rho_central: f64,
+    c: &ContentionInputs,
+    holds: &HoldTimes,
+    order: &AbortOrder,
 ) -> ResponseEstimate {
     let nl = params.locks_per_txn;
     let d = params.comm_delay;
@@ -231,38 +290,38 @@ pub fn response_times(
         params.rerun_instr() / params.central_mips * ec + lock_wait_c + auth_round;
 
     // --- Abort probabilities from collision × who-finishes-first ---
-    let pw_req_new = p_local_loses_as_requester(holds.beta_l, holds.beta_c, d);
-    let pw_req_rr = p_local_loses_as_requester(holds.beta_l, holds.gamma_c, d);
-    let pw_hold_new = p_local_loses_as_holder(holds.beta_l, holds.beta_c, d);
-    let pw_req_new_rr = p_local_loses_as_requester(holds.gamma_l, holds.beta_c, d);
-    let pw_req_rr_rr = p_local_loses_as_requester(holds.gamma_l, holds.gamma_c, d);
-    let pw_hold_rr = p_local_loses_as_holder(holds.gamma_l, holds.beta_c, d);
+    let AbortOrder {
+        req_bl_bc,
+        req_bl_gc,
+        req_gl_bc,
+        req_gl_gc,
+        hold_bl_bc,
+        hold_bl_gc,
+        hold_gl_bc,
+        hold_gl_gc,
+    } = *order;
 
     // Local first run: collisions from its own requests plus central
     // requests landing on its held locks.
-    let own_l1 = nl * (c.p_lc_new * pw_req_new + c.p_lc_rerun * pw_req_rr);
-    let as_holder_l1 = c.central_req_rate_db * (nl * holds.beta_l / 2.0) / s * pw_hold_new;
+    let own_l1 = nl * (c.p_lc_new * req_bl_bc + c.p_lc_rerun * req_bl_gc);
+    let as_holder_l1 = c.central_req_rate_db * (nl * holds.beta_l / 2.0) / s * hold_bl_bc;
     let p_abort_local_first = (own_l1 + as_holder_l1).clamp(0.0, ABORT_CAP);
 
-    let own_l2 = nl * (c.p_lc_new * pw_req_new_rr + c.p_lc_rerun * pw_req_rr_rr);
-    let as_holder_l2 = c.central_req_rate_db * (nl * holds.gamma_l) / s * pw_hold_rr;
+    let own_l2 = nl * (c.p_lc_new * req_gl_bc + c.p_lc_rerun * req_gl_gc);
+    let as_holder_l2 = c.central_req_rate_db * (nl * holds.gamma_l) / s * hold_gl_bc;
     let p_abort_local_rerun = (own_l2 + as_holder_l2).clamp(0.0, ABORT_CAP);
 
     // Central first run: its own requests colliding with local holders
     // (central loses when the local holder outlives its authentication),
     // local requests landing on its locks (central loses when the local
     // requester finishes first), plus coherence-count negative acks.
-    let own_c1 = nl
-        * (c.p_cl_new * (1.0 - p_local_loses_as_holder(holds.beta_l, holds.beta_c, d))
-            + c.p_cl_rerun * (1.0 - p_local_loses_as_holder(holds.gamma_l, holds.beta_c, d)));
-    let as_holder_c1 = c.local_req_rate_site * (nl * holds.beta_c / 2.0) / s * (1.0 - pw_req_new);
+    let own_c1 = nl * (c.p_cl_new * (1.0 - hold_bl_bc) + c.p_cl_rerun * (1.0 - hold_gl_bc));
+    let as_holder_c1 = c.local_req_rate_site * (nl * holds.beta_c / 2.0) / s * (1.0 - req_bl_bc);
     let p_coh_txn = 1.0 - (1.0 - c.p_coh).powf(nl);
     let p_abort_central_first = (own_c1 + as_holder_c1 + p_coh_txn).clamp(0.0, ABORT_CAP);
 
-    let own_c2 = nl
-        * (c.p_cl_new * (1.0 - p_local_loses_as_holder(holds.beta_l, holds.gamma_c, d))
-            + c.p_cl_rerun * (1.0 - p_local_loses_as_holder(holds.gamma_l, holds.gamma_c, d)));
-    let as_holder_c2 = c.local_req_rate_site * (nl * holds.gamma_c) / s * (1.0 - pw_req_new);
+    let own_c2 = nl * (c.p_cl_new * (1.0 - hold_bl_gc) + c.p_cl_rerun * (1.0 - hold_gl_gc));
+    let as_holder_c2 = c.local_req_rate_site * (nl * holds.gamma_c) / s * (1.0 - req_bl_bc);
     let p_abort_central_rerun = (own_c2 + as_holder_c2 + p_coh_txn).clamp(0.0, ABORT_CAP);
 
     // Geometric rerun expansion (the paper's fourth response-time term).

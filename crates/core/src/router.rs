@@ -8,7 +8,7 @@
 use std::fmt;
 
 use hls_analytic::{
-    estimate_route_cases, heuristic_utilizations, Observed, SystemParams, UtilizationEstimator,
+    heuristic_utilizations, Observed, RouteModel, SystemParams, UtilizationEstimator,
 };
 use hls_sim::{SimDuration, SimRng, SimTime};
 
@@ -172,8 +172,14 @@ impl RouterSpec {
             RouterSpec::UtilizationThreshold { threshold } => {
                 Box::new(UtilizationThreshold { threshold })
             }
-            RouterSpec::MinIncoming { estimator } => Box::new(MinIncoming { estimator }),
-            RouterSpec::MinAverage { estimator } => Box::new(MinAverage { estimator }),
+            RouterSpec::MinIncoming { estimator } => Box::new(MinIncoming {
+                estimator,
+                model: None,
+            }),
+            RouterSpec::MinAverage { estimator } => Box::new(MinAverage {
+                estimator,
+                model: None,
+            }),
             RouterSpec::SmoothedMinAverage { estimator, scale } => {
                 Box::new(SmoothedMinAverage::new(estimator, scale))
             }
@@ -319,15 +325,26 @@ impl Router for UtilizationThreshold {
     }
 }
 
+/// The model in `slot` when it was built for `params`, otherwise a new one
+/// stored there. Routers build their model on the first decision rather
+/// than at construction, so a run's set-up pays nothing for it.
+fn route_model<'a>(slot: &'a mut Option<RouteModel>, params: &SystemParams) -> &'a RouteModel {
+    if slot.as_ref().is_some_and(|m| m.params() != params) {
+        *slot = None;
+    }
+    slot.get_or_insert_with(|| RouteModel::new(params))
+}
+
 /// Section 3.2.1: minimize the incoming transaction's estimated response.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct MinIncoming {
     estimator: UtilizationEstimator,
+    model: Option<RouteModel>,
 }
 
 impl Router for MinIncoming {
     fn decide(&mut self, ctx: &mut RouteCtx<'_>) -> Route {
-        let cases = estimate_route_cases(ctx.params, &ctx.obs, self.estimator);
+        let cases = route_model(&mut self.model, ctx.params).estimate(&ctx.obs, self.estimator);
         if cases.prefer_ship_incoming() {
             Route::Central
         } else {
@@ -338,14 +355,15 @@ impl Router for MinIncoming {
 
 /// Section 3.2.2: minimize the estimated average response of all
 /// transactions.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct MinAverage {
     estimator: UtilizationEstimator,
+    model: Option<RouteModel>,
 }
 
 impl Router for MinAverage {
     fn decide(&mut self, ctx: &mut RouteCtx<'_>) -> Route {
-        let cases = estimate_route_cases(ctx.params, &ctx.obs, self.estimator);
+        let cases = route_model(&mut self.model, ctx.params).estimate(&ctx.obs, self.estimator);
         if cases.prefer_ship_average(&ctx.obs) {
             Route::Central
         } else {
@@ -369,6 +387,11 @@ pub struct IslandAwareRouter {
     estimator: UtilizationEstimator,
     /// Per-site one-way link delay, seconds; empty = uniform topology.
     site_delays: Vec<f64>,
+    /// Per-site index into `models`: sites with equal delays share one.
+    model_of_site: Vec<usize>,
+    /// One model per distinct site delay, plus a last one for sites
+    /// without a registered delay (the nominal `comm_delay`).
+    models: Vec<Option<RouteModel>>,
 }
 
 impl IslandAwareRouter {
@@ -384,20 +407,35 @@ impl IslandAwareRouter {
             site_delays.iter().all(|d| d.is_finite() && *d >= 0.0),
             "site delays must be finite and >= 0"
         );
+        let mut distinct = site_delays.clone();
+        distinct.sort_by(f64::total_cmp);
+        distinct.dedup();
+        let model_of_site = site_delays
+            .iter()
+            .map(|d| distinct.partition_point(|x| x < d))
+            .collect();
         IslandAwareRouter {
             estimator,
             site_delays,
+            model_of_site,
+            models: vec![None; distinct.len() + 1],
         }
     }
 }
 
 impl Router for IslandAwareRouter {
     fn decide(&mut self, ctx: &mut RouteCtx<'_>) -> Route {
-        let mut params = *ctx.params;
-        if let Some(&d) = self.site_delays.get(ctx.site) {
-            params.comm_delay = d;
-        }
-        let cases = estimate_route_cases(&params, &ctx.obs, self.estimator);
+        let (slot, params) = match self.site_delays.get(ctx.site) {
+            Some(&comm_delay) => (
+                self.model_of_site[ctx.site],
+                SystemParams {
+                    comm_delay,
+                    ..*ctx.params
+                },
+            ),
+            None => (self.models.len() - 1, *ctx.params),
+        };
+        let cases = route_model(&mut self.models[slot], &params).estimate(&ctx.obs, self.estimator);
         if cases.prefer_ship_average(&ctx.obs) {
             Route::Central
         } else {
@@ -408,10 +446,11 @@ impl Router for IslandAwareRouter {
 
 /// Extension: probabilistic min-average routing (see
 /// [`RouterSpec::SmoothedMinAverage`]).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct SmoothedMinAverage {
     estimator: UtilizationEstimator,
     scale: f64,
+    model: Option<RouteModel>,
 }
 
 impl SmoothedMinAverage {
@@ -420,13 +459,17 @@ impl SmoothedMinAverage {
             scale > 0.0 && scale.is_finite(),
             "smoothing scale must be positive and finite, got {scale}"
         );
-        SmoothedMinAverage { estimator, scale }
+        SmoothedMinAverage {
+            estimator,
+            scale,
+            model: None,
+        }
     }
 }
 
 impl Router for SmoothedMinAverage {
     fn decide(&mut self, ctx: &mut RouteCtx<'_>) -> Route {
-        let cases = estimate_route_cases(ctx.params, &ctx.obs, self.estimator);
+        let cases = route_model(&mut self.model, ctx.params).estimate(&ctx.obs, self.estimator);
         let advantage = cases.average_advantage_of_shipping(&ctx.obs);
         let p_ship = 1.0 / (1.0 + (-advantage / self.scale).exp());
         if ctx.rng.random::<f64>() < p_ship {
