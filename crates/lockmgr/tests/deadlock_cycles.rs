@@ -6,21 +6,34 @@
 //! a two-cycle, a three-cycle, two disjoint cycles, and a wait chain
 //! with no cycle — so a future bug cannot slip through by breaking both
 //! tables identically.
+//!
+//! A probe can only find a cycle by following a wait-for edge back into
+//! the probed owner, so an owner with no incoming edge is never
+//! deadlocked. The last three tests sit on the boundaries of that rule:
+//! an owner nobody waits on, and owners whose only incoming edge is a
+//! queue edge from behind or a holder edge from ahead on the same lock.
 
 use hls_lockmgr::model::ReferenceLockTable;
 use hls_lockmgr::{LockId, LockMode, LockTable, OwnerId, RequestOutcome};
 
 const X: LockMode = LockMode::Exclusive;
 
-/// Drives the same request script through both tables, asserting each
-/// request produces the same outcome, then hands both to `verify`.
+/// Drives the same exclusive request script through both tables,
+/// asserting each request produces the same outcome, then hands both to
+/// `verify`.
 fn both(script: &[(u64, u32)], verify: impl Fn(&dyn Deadlocks)) {
+    let script: Vec<(u64, u32, LockMode)> = script.iter().map(|&(o, l)| (o, l, X)).collect();
+    both_moded(&script, verify);
+}
+
+/// [`both`] with an explicit mode per request.
+fn both_moded(script: &[(u64, u32, LockMode)], verify: impl Fn(&dyn Deadlocks)) {
     let mut dut = LockTable::new();
     let mut oracle = ReferenceLockTable::new();
-    for &(owner, lock) in script {
-        let a = dut.request(OwnerId(owner), LockId(lock), X);
-        let b = oracle.request(OwnerId(owner), LockId(lock), X);
-        assert_eq!(a, b, "request(T{owner}, L{lock}) outcomes diverged");
+    for &(owner, lock, mode) in script {
+        let a = dut.request(OwnerId(owner), LockId(lock), mode);
+        let b = oracle.request(OwnerId(owner), LockId(lock), mode);
+        assert_eq!(a, b, "request(T{owner}, L{lock}, {mode}) outcomes diverged");
         assert_ne!(
             a,
             RequestOutcome::AlreadyHeld,
@@ -36,17 +49,22 @@ fn both(script: &[(u64, u32)], verify: impl Fn(&dyn Deadlocks)) {
 /// The observations these tests need, implemented by both tables.
 trait Deadlocks {
     fn in_deadlock(&self, owner: OwnerId) -> bool;
-    fn cycle(&self, owner: OwnerId) -> Vec<u64>;
+    /// The reported cycle in search order, starting at `owner`.
+    fn path(&self, owner: OwnerId) -> Vec<u64>;
+    /// The reported cycle's members, sorted.
+    fn cycle(&self, owner: OwnerId) -> Vec<u64> {
+        let mut c = self.path(owner);
+        c.sort_unstable();
+        c
+    }
 }
 
 impl Deadlocks for LockTable {
     fn in_deadlock(&self, owner: OwnerId) -> bool {
         LockTable::in_deadlock(self, owner)
     }
-    fn cycle(&self, owner: OwnerId) -> Vec<u64> {
-        let mut c: Vec<u64> = self.deadlock_cycle(owner).iter().map(|o| o.0).collect();
-        c.sort_unstable();
-        c
+    fn path(&self, owner: OwnerId) -> Vec<u64> {
+        self.deadlock_cycle(owner).iter().map(|o| o.0).collect()
     }
 }
 
@@ -54,10 +72,8 @@ impl Deadlocks for ReferenceLockTable {
     fn in_deadlock(&self, owner: OwnerId) -> bool {
         ReferenceLockTable::in_deadlock(self, owner)
     }
-    fn cycle(&self, owner: OwnerId) -> Vec<u64> {
-        let mut c: Vec<u64> = self.deadlock_cycle(owner).iter().map(|o| o.0).collect();
-        c.sort_unstable();
-        c
+    fn path(&self, owner: OwnerId) -> Vec<u64> {
+        self.deadlock_cycle(owner).iter().map(|o| o.0).collect()
     }
 }
 
@@ -156,6 +172,48 @@ fn cycle_through_shared_holders_found() {
     assert_eq!(b, vec![1, 3]);
     assert!(!dut.in_deadlock(OwnerId(2)));
     assert!(!oracle.in_deadlock(OwnerId(2)));
+}
+
+#[test]
+fn owner_nobody_waits_on_is_clean_beside_a_cycle() {
+    // T1↔T2 deadlock on L1/L2. T3 holds L3 and queues for L1 behind T2,
+    // so its probe reaches the cycle, but no edge leads back to T3: it
+    // is last in L1's queue and nobody waits for L3.
+    both(&[(1, 1), (2, 2), (3, 3), (1, 2), (2, 1), (3, 1)], |t| {
+        assert!(!t.in_deadlock(OwnerId(3)), "T3 falsely deadlocked");
+        assert_eq!(t.path(OwnerId(3)), Vec::<u64>::new());
+        assert_eq!(t.path(OwnerId(1)), vec![1, 2]);
+        assert_eq!(t.path(OwnerId(2)), vec![2, 1]);
+    });
+}
+
+#[test]
+fn cycle_closed_only_by_a_waiter_behind_the_requester() {
+    // T1 holds L1, T3 holds L2. T2 queues for L1 (held by T1), T3 queues
+    // behind T2, then T1 queues for L2 (held by T3). T2 holds nothing,
+    // so its one incoming edge is T3's queue edge from behind it:
+    // T2 → T1 → T3 → T2.
+    both(&[(1, 1), (3, 2), (2, 1), (3, 1), (1, 2)], |t| {
+        assert!(t.in_deadlock(OwnerId(2)), "T2 should deadlock");
+        assert_eq!(t.path(OwnerId(2)), vec![2, 1, 3]);
+        assert_eq!(t.path(OwnerId(1)), vec![1, 3]);
+        // The search takes the last blocker first: T2, queued ahead of T3.
+        assert_eq!(t.path(OwnerId(3)), vec![3, 2, 1]);
+    });
+}
+
+#[test]
+fn queued_upgrade_closed_by_a_holder_edge_from_ahead() {
+    // T1 and T2 share L1. T3 queues for L1 exclusively, then T1 queues
+    // its upgrade behind T3. Nobody waits behind T1; its only incoming
+    // edge is T3's holder edge, from ahead of it on the same lock.
+    let s = LockMode::Shared;
+    both_moded(&[(1, 1, s), (2, 1, s), (3, 1, X), (1, 1, X)], |t| {
+        assert!(t.in_deadlock(OwnerId(1)), "T1 should deadlock");
+        assert_eq!(t.path(OwnerId(1)), vec![1, 3]);
+        assert_eq!(t.path(OwnerId(3)), vec![3, 1]);
+        assert!(!t.in_deadlock(OwnerId(2)), "T2 holds and waits for nothing");
+    });
 }
 
 /// Minimal request shim so the shared-holder test can script both tables.
