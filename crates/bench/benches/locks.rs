@@ -1,6 +1,6 @@
 //! Microbenchmarks of the lock manager.
 
-use hls_bench::microbench::bench_with;
+use hls_bench::microbench::{bench, bench_with};
 use hls_lockmgr::{LockId, LockMode, LockTable, OwnerId};
 use std::hint::black_box;
 
@@ -47,22 +47,52 @@ fn bench_contended() {
     );
 }
 
+/// Mean wait-for cycle length on perfbench's `contended` workload.
+const CYCLE: u64 = 85;
+
+/// A table where owner `i` holds lock `i` and waits for lock `i - 1`,
+/// for `i` in `1..n`: a wait chain ending at owner 0, which only holds.
+fn wait_chain(n: u64) -> LockTable {
+    let mut table = LockTable::new();
+    for i in 0..n {
+        table.request(OwnerId(i), LockId(i as u32), LockMode::Exclusive);
+    }
+    for i in 1..n {
+        table.request(OwnerId(i), LockId(i as u32 - 1), LockMode::Exclusive);
+    }
+    table
+}
+
 fn bench_deadlock_check() {
-    bench_with(
-        "locks/deadlock_check_chain",
-        || {
-            let mut table = LockTable::new();
-            // Build a 30-owner wait chain.
-            for i in 0..30u64 {
-                table.request(OwnerId(i), LockId(i as u32), LockMode::Exclusive);
-            }
-            for i in 1..30u64 {
-                table.request(OwnerId(i), LockId(i as u32 - 1), LockMode::Exclusive);
-            }
-            table
-        },
-        |table| table.in_deadlock(OwnerId(29)),
+    // Probes the tail of a 30-owner wait chain. Nobody waits on the tail
+    // owner, so no wait-for edge enters it and the probe returns without
+    // walking the chain: this times only that early exit.
+    let chain = wait_chain(30);
+    bench("locks/deadlock_check_chain", || {
+        chain.in_deadlock(OwnerId(29))
+    });
+
+    // Walks the exit cannot skip. A closed cycle: owner 0 also waits, for
+    // the last owner's lock, so the probe walks all 85 owners back to
+    // the start.
+    let mut cycle = wait_chain(CYCLE);
+    cycle.request(OwnerId(0), LockId(CYCLE as u32 - 1), LockMode::Exclusive);
+    bench("locks/deadlock_walk_closed_cycle_85", || {
+        cycle.deadlock_cycle(OwnerId(0))
+    });
+
+    // An open chain probed from an owner with a waiter queued behind it:
+    // the edge into the probed tail sends the probe down all 85 owners,
+    // and it finds no way back.
+    let mut open = wait_chain(CYCLE);
+    open.request(
+        OwnerId(CYCLE),
+        LockId(CYCLE as u32 - 2),
+        LockMode::Exclusive,
     );
+    bench("locks/deadlock_walk_open_chain_85", || {
+        open.in_deadlock(OwnerId(CYCLE - 1))
+    });
 }
 
 fn bench_force_acquire() {

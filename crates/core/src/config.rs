@@ -125,7 +125,8 @@ pub struct SystemConfig {
     /// unchanged metrics rendering.
     pub scale_metrics: bool,
     /// Data-placement controller configuration. The default
-    /// ([`PlacementPolicy::Static`] with no drift) keeps the paper's
+    /// ([`PlacementPolicy::Static`](hls_placement::PlacementPolicy::Static)
+    /// with no drift) keeps the paper's
     /// frozen partition-to-site assignment and is bit-identical to a
     /// build without the placement subsystem; `Threshold`/`Epoch`
     /// policies re-home partitions online, reclassifying transactions

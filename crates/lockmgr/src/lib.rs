@@ -8,16 +8,18 @@
 //! authentication phase, in which a central or shipped transaction seizes
 //! locks from incompatible local holders, and **deadlock detection**.
 //!
-//! The production [`LockTable`] is the *indexed* implementation (ISSUE 4):
-//! it maintains an explicit wait-for graph (each waiter carries its ordered
-//! blocker edges, updated incrementally on grant/enqueue/release), an
-//! owner → held-locks index, and arena-allocated waiter queues addressed by
-//! stable `u32` handles with free-list reuse — so deadlock detection walks
-//! only reachable edges and the release paths never scan the table. The
-//! earlier scan-based semantics are preserved verbatim as
-//! [`model::ReferenceLockTable`], the oracle for the model-based
-//! differential suite in `tests/differential.rs` and the baseline for the
-//! `lock_bench` microbenchmark.
+//! The production [`LockTable`] is the *indexed* implementation: each
+//! owner that holds or waits is interned into a dense per-table slot
+//! (its wait handle, held locks, incoming holder-edge count and probe
+//! stamp), an explicit wait-for graph over slots is updated incrementally
+//! on grant/enqueue/release, and waiter queues live in an arena addressed
+//! by stable `u32` handles with free-list reuse — so the release paths
+//! never scan the table, and a deadlock probe returns at once when no
+//! edge enters the probed owner and otherwise walks only reachable edges
+//! without hashing. The earlier scan-based semantics are preserved
+//! verbatim as [`model::ReferenceLockTable`], the oracle for the
+//! model-based differential suite in `tests/differential.rs` and the
+//! baseline for the `lock_bench` microbenchmark.
 //!
 //! # Examples
 //!

@@ -1,36 +1,44 @@
 //! The lock table: concurrency field, coherence field, FIFO wait queues.
 //!
-//! This is the indexed implementation (ISSUE 4). Three structures are
-//! maintained incrementally so the simulator's hottest operations never
-//! scan the whole table:
+//! This is the indexed implementation. Every transaction that holds or
+//! waits for a lock is interned into a dense per-table **owner slot**, and
+//! the structures the simulator's hot operations touch are addressed by
+//! slot or by arena handle, so they never scan the whole table:
 //!
-//! 1. **An explicit wait-for graph.** Every queued waiter carries its
-//!    ordered list of blocking owners (the holders of the lock it waits
-//!    for, then the waiters ahead of it), updated on grant, enqueue,
-//!    release, displacement and cancellation. [`LockTable::deadlock_cycle`]
-//!    walks these pre-built edges instead of re-deriving each node's
-//!    blockers from the raw entry.
-//! 2. **An owner → held-locks index** backing [`LockTable::release_all`],
-//!    [`LockTable::held_locks`] and victim selection, with freed lists
-//!    recycled through a small pool.
+//! 1. **Owner slots.** One map takes an [`OwnerId`] to its slot; the slot
+//!    holds the owner's wait handle, its held locks in acquisition order
+//!    (backing [`LockTable::release_all`], [`LockTable::held_locks`] and
+//!    victim selection), a count of holder edges into it, and the
+//!    deadlock probe's visit stamp. A slot is recycled, with its held-list
+//!    allocation, once its owner neither holds nor waits, so the slot
+//!    array is sized by the owners live at once, not by the range of
+//!    owner ids.
+//! 2. **An explicit wait-for graph.** Every queued waiter carries its
+//!    ordered list of blocking owners' slots (the holders of the lock it
+//!    waits for, then the waiters ahead of it), updated on grant,
+//!    enqueue, release, displacement and cancellation.
 //! 3. **Arena-backed waiter queues.** Wait-queue nodes live in one shared
-//!    `Vec` arena addressed by stable `u32` handles with free-list reuse;
-//!    per-entry `VecDeque` allocation churn is gone, and a waiter's node
-//!    (hence its wait-for edges) is reachable in O(1) from the waiting
-//!    index.
+//!    `Vec` arena addressed by stable `u32` handles with free-list reuse,
+//!    and a waiter's node (hence its wait-for edges) is one array read
+//!    from its slot.
 //!
-//! All maps use a Fibonacci-style multiplicative hasher
-//! ([`hls_sim::FxHasher`], introduced here in ISSUE 4 and lifted into
-//! `hls-sim` by ISSUE 5 so `hls-core` shares the definition) instead of
-//! SipHash — the keys are trusted in-simulator integers, not
-//! attacker-controlled input.
+//! [`LockTable::deadlock_cycle`] runs after every blocked request. It
+//! returns at once when no wait-for edge enters the probed owner, which
+//! the slot answers without a search: nobody queues behind the owner and
+//! no waiter has a holder edge to it. Otherwise it walks the pre-built
+//! edges depth-first, marking slots with a per-probe stamp, so a hop
+//! reads arrays and hashes nothing.
+//!
+//! The two maps (lock → entry, owner → slot) use a Fibonacci-style
+//! multiplicative hasher ([`hls_sim::FxHasher`]) instead of SipHash — the
+//! keys are trusted in-simulator integers, not attacker-controlled input.
 //!
 //! Outcome semantics are locked to the scan-based reference
 //! implementation in [`crate::model`] by the differential suite in
 //! `tests/differential.rs`; every observable — [`RequestOutcome`]s, grant
-//! order, cycle membership, counters — is bit-compatible.
+//! order, the reported cycle and its order, counters — is bit-compatible.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 
 use hls_obs::{OpStats, Timer};
 use hls_sim::{FxHashMap as FxMap, FxHashSet as FxSet};
@@ -91,33 +99,58 @@ pub struct Grant {
     pub mode: LockMode,
 }
 
-/// Sentinel handle: "no node".
+/// Sentinel handle: "no node" / "no wait".
 const NIL: u32 = u32::MAX;
+
+/// One interned owner: everything the table tracks per transaction.
+#[derive(Debug, Clone)]
+struct OwnerSlot {
+    owner: OwnerId,
+    /// Arena handle of the owner's single queued wait, or [`NIL`].
+    wait: u32,
+    /// Locks held, in acquisition order.
+    held: Vec<LockId>,
+    /// Holder edges into this owner: one per (waiter, lock) pair where
+    /// the waiter queues on a lock this owner holds. Together with "is
+    /// anyone queued behind my wait" this decides whether any wait-for
+    /// edge enters the owner.
+    holder_in: u32,
+    /// Stamp of the last deadlock probe that visited this slot.
+    visit: Cell<u32>,
+}
+
+impl OwnerSlot {
+    fn is_idle(&self) -> bool {
+        self.held.is_empty() && self.wait == NIL
+    }
+}
 
 /// One queued lock request, living in the table-wide arena. Nodes form a
 /// doubly-linked FIFO per lock entry and carry the waiter's outgoing
 /// wait-for edges.
 #[derive(Debug, Clone)]
 struct WaiterNode {
-    owner: OwnerId,
+    /// Slot of the waiting owner.
+    slot: u32,
     mode: LockMode,
     lock: LockId,
     prev: u32,
     next: u32,
-    /// Outgoing wait-for edges, ordered exactly as the reference model
-    /// derives them: current holders of `lock` (minus `owner`) in holder
-    /// order, then the waiters ahead of this node in queue order. An
-    /// owner that both holds the lock and waits ahead (a queued upgrade)
-    /// appears once per role.
-    blockers: Vec<OwnerId>,
+    /// Outgoing wait-for edges as owner slots, ordered exactly as the
+    /// reference model derives them: current holders of `lock` (minus
+    /// the waiter) in holder order, then the waiters ahead of this node
+    /// in queue order. An owner that both holds the lock and waits ahead
+    /// (a queued upgrade) appears once per role.
+    blockers: Vec<u32>,
     /// Length of the holders-section prefix of `blockers`.
     n_holder: u32,
 }
 
 #[derive(Debug, Clone)]
 struct LockEntry {
-    /// Current holders with their modes. Multiple holders only in share mode.
-    holders: Vec<(OwnerId, LockMode)>,
+    /// Current holders (owner slots) with their modes. Multiple holders
+    /// only in share mode.
+    holders: Vec<(u32, LockMode)>,
     /// Head of this entry's FIFO wait queue (arena handle), or [`NIL`].
     q_head: u32,
     /// Tail of the wait queue, or [`NIL`].
@@ -156,13 +189,13 @@ impl LockEntry {
 fn alloc_node(
     arena: &mut Vec<WaiterNode>,
     free: &mut Vec<u32>,
-    owner: OwnerId,
+    slot: u32,
     lock: LockId,
     mode: LockMode,
 ) -> u32 {
     if let Some(h) = free.pop() {
         let node = &mut arena[h as usize];
-        node.owner = owner;
+        node.slot = slot;
         node.lock = lock;
         node.mode = mode;
         node.prev = NIL;
@@ -173,7 +206,7 @@ fn alloc_node(
     } else {
         assert!(arena.len() < NIL as usize, "waiter arena exhausted");
         arena.push(WaiterNode {
-            owner,
+            slot,
             mode,
             lock,
             prev: NIL,
@@ -206,11 +239,16 @@ fn unlink(entry: &mut LockEntry, arena: &mut [WaiterNode], h: u32) {
 
 /// Removes the holder edge to `removed` from every waiter of `entry`
 /// (except `removed` itself, which never lists itself as a blocker).
-fn remove_holder_edges(entry: &LockEntry, arena: &mut [WaiterNode], removed: OwnerId) {
+fn remove_holder_edges(
+    entry: &LockEntry,
+    arena: &mut [WaiterNode],
+    slots: &mut [OwnerSlot],
+    removed: u32,
+) {
     let mut cur = entry.q_head;
     while cur != NIL {
         let node = &mut arena[cur as usize];
-        if node.owner != removed {
+        if node.slot != removed {
             let nh = node.n_holder as usize;
             let pos = node.blockers[..nh]
                 .iter()
@@ -218,6 +256,7 @@ fn remove_holder_edges(entry: &LockEntry, arena: &mut [WaiterNode], removed: Own
                 .expect("wait-for graph desync: missing holder edge");
             node.blockers.remove(pos);
             node.n_holder -= 1;
+            slots[removed as usize].holder_in -= 1;
         }
         cur = node.next;
     }
@@ -226,61 +265,22 @@ fn remove_holder_edges(entry: &LockEntry, arena: &mut [WaiterNode], removed: Own
 /// Adds a holder edge to `added` (appended to the holders section, which
 /// mirrors `added` being pushed onto `entry.holders`) for every waiter
 /// except `added` itself.
-fn insert_holder_edges(entry: &LockEntry, arena: &mut [WaiterNode], added: OwnerId) {
+fn insert_holder_edges(
+    entry: &LockEntry,
+    arena: &mut [WaiterNode],
+    slots: &mut [OwnerSlot],
+    added: u32,
+) {
     let mut cur = entry.q_head;
     while cur != NIL {
         let node = &mut arena[cur as usize];
-        if node.owner != added {
+        if node.slot != added {
             let nh = node.n_holder as usize;
             node.blockers.insert(nh, added);
             node.n_holder += 1;
+            slots[added as usize].holder_in += 1;
         }
         cur = node.next;
-    }
-}
-
-/// Appends `lock` to `owner`'s held-locks list, recycling a pooled list
-/// for first-time holders.
-fn held_insert(
-    held: &mut FxMap<OwnerId, Vec<LockId>>,
-    pool: &mut Vec<Vec<LockId>>,
-    owner: OwnerId,
-    lock: LockId,
-) {
-    held.entry(owner)
-        .or_insert_with(|| pool.pop().unwrap_or_default())
-        .push(lock);
-}
-
-/// Removes `lock` from `owner`'s held-locks list, returning emptied lists
-/// to the pool.
-///
-/// # Panics
-///
-/// Panics if the index disagrees with the entry holders — a table bug.
-fn held_remove(
-    held: &mut FxMap<OwnerId, Vec<LockId>>,
-    pool: &mut Vec<Vec<LockId>>,
-    owner: OwnerId,
-    lock: LockId,
-) {
-    let locks = held.get_mut(&owner).expect("holder has no held set");
-    let pos = locks
-        .iter()
-        .position(|&l| l == lock)
-        .expect("held set desync");
-    locks.remove(pos);
-    if locks.is_empty() {
-        let list = held.remove(&owner).expect("held list vanished");
-        recycle(pool, list);
-    }
-}
-
-/// Bounded pooling of emptied `Vec` allocations.
-fn recycle(pool: &mut Vec<Vec<LockId>>, mut list: Vec<LockId>) {
-    if pool.len() < 1024 && list.capacity() > 0 {
-        list.clear();
-        pool.push(list);
     }
 }
 
@@ -294,12 +294,14 @@ fn recycle(pool: &mut Vec<Vec<LockId>>, mut list: Vec<LockId>) {
 /// from incompatible local holders (which are then marked for abort by the
 /// caller).
 ///
-/// Internally the table maintains three indexes: the explicit wait-for
-/// graph (per-waiter ordered blocker edges), the owner → held-locks
-/// index, and arena-backed waiter queues addressed by stable `u32`
-/// handles. The scan-based semantics they
-/// replace live on as [`crate::model::ReferenceLockTable`], the
-/// differential-testing oracle.
+/// Internally each owner that holds or waits is interned into a dense
+/// slot holding its wait handle, held locks, incoming holder-edge count
+/// and probe stamp. Wait-for edges and entry holders store slots, and
+/// waiter queues live in an arena addressed by stable `u32` handles, so
+/// a deadlock probe hashes only the probed owner's id. A slot returns to
+/// a free list once its owner neither holds nor waits. The scan-based
+/// semantics these indexes replace live on as
+/// [`crate::model::ReferenceLockTable`], the differential-testing oracle.
 ///
 /// # Examples
 ///
@@ -317,16 +319,16 @@ fn recycle(pool: &mut Vec<Vec<LockId>>, mut list: Vec<LockId>) {
 #[derive(Debug, Clone, Default)]
 pub struct LockTable {
     entries: FxMap<LockId, LockEntry>,
-    /// Owner → held-locks index, in acquisition order.
-    held: FxMap<OwnerId, Vec<LockId>>,
-    /// Owner → arena handle of its single queued wait.
-    waiting: FxMap<OwnerId, u32>,
-    /// The waiter-node arena; freed slots are recycled via `free`.
+    /// The waiter-node arena; freed nodes are recycled via `free`.
     arena: Vec<WaiterNode>,
     /// Free list of arena handles.
     free: Vec<u32>,
-    /// Pool of emptied held-lock lists awaiting reuse.
-    held_pool: Vec<Vec<LockId>>,
+    /// Owner → slot, for every owner that holds or waits.
+    slot_of: FxMap<OwnerId, u32>,
+    /// Owner slots; idle ones are recycled via `free_slots`.
+    slots: Vec<OwnerSlot>,
+    /// Free list of slot indexes.
+    free_slots: Vec<u32>,
     /// Total number of (owner, lock) grants — the `n_lock` observable used
     /// by the dynamic routing strategies.
     grants: usize,
@@ -334,20 +336,14 @@ pub struct LockTable {
     stats: LockStats,
     /// Whether operations also accumulate wall-clock time into `stats`.
     profiling: bool,
-    /// Reusable DFS buffers for [`LockTable::deadlock_cycle`], so the
-    /// per-block probe the simulator issues allocates nothing. Interior
-    /// mutability keeps the probe `&self`; the scratch never holds state
-    /// across calls.
-    scratch: RefCell<DfsScratch>,
-}
-
-/// Scratch space for the deadlock DFS (see [`LockTable::scratch`]).
-#[derive(Debug, Clone, Default)]
-struct DfsScratch {
-    visited: FxSet<OwnerId>,
-    path: Vec<OwnerId>,
-    /// Stack entries: (node, depth in path when pushed).
-    stack: Vec<(OwnerId, usize)>,
+    /// Stamp of the latest deadlock probe; slots carrying it were
+    /// visited by that probe.
+    stamp: Cell<u32>,
+    /// Reusable DFS frames for [`LockTable::deadlock_cycle`]: (arena
+    /// handle of a visited waiter, blockers still to try). Interior
+    /// mutability keeps the probe `&self` and allocation-free; nothing
+    /// survives across calls.
+    frames: RefCell<Vec<(u32, u32)>>,
 }
 
 impl LockTable {
@@ -377,6 +373,51 @@ impl LockTable {
         &self.stats
     }
 
+    /// The slot of `owner`, interning it into a recycled or new slot if it
+    /// neither holds nor waits yet. Callers must leave it holding or
+    /// waiting, or release the slot again.
+    fn intern(&mut self, owner: OwnerId) -> u32 {
+        let LockTable {
+            slot_of,
+            slots,
+            free_slots,
+            ..
+        } = self;
+        *slot_of.entry(owner).or_insert_with(|| {
+            if let Some(s) = free_slots.pop() {
+                slots[s as usize].owner = owner;
+                s
+            } else {
+                assert!(slots.len() < NIL as usize, "owner slots exhausted");
+                slots.push(OwnerSlot {
+                    owner,
+                    wait: NIL,
+                    held: Vec::new(),
+                    holder_in: 0,
+                    visit: Cell::new(0),
+                });
+                (slots.len() - 1) as u32
+            }
+        })
+    }
+
+    /// Returns slot `s` to the free list if its owner neither holds nor
+    /// waits. An idle owner has no wait-for edge into it, so nothing
+    /// refers to the slot any more.
+    fn release_if_idle(&mut self, s: u32) {
+        let slot = &self.slots[s as usize];
+        if slot.is_idle() {
+            debug_assert_eq!(slot.holder_in, 0, "idle owner still has holder edges");
+            self.slot_of.remove(&slot.owner);
+            self.free_slots.push(s);
+        }
+    }
+
+    /// The slot of `owner`, if it holds or waits.
+    fn slot(&self, owner: OwnerId) -> Option<&OwnerSlot> {
+        self.slot_of.get(&owner).map(|&s| &self.slots[s as usize])
+    }
+
     /// Requests `lock` in `mode` on behalf of `owner`.
     ///
     /// Incompatible requests are queued FIFO; a queued owner must not issue
@@ -396,23 +437,22 @@ impl LockTable {
     }
 
     fn request_impl(&mut self, owner: OwnerId, lock: LockId, mode: LockMode) -> RequestOutcome {
+        let s = self.intern(owner);
         assert!(
-            !self.waiting.contains_key(&owner),
+            self.slots[s as usize].wait == NIL,
             "{owner} already waits for a lock and cannot issue another request"
         );
         let LockTable {
             entries,
-            held,
-            waiting,
+            slots,
             arena,
             free,
-            held_pool,
             grants,
             ..
         } = self;
         let entry = entries.entry(lock).or_default();
 
-        if let Some(pos) = entry.holders.iter().position(|&(o, _)| o == owner) {
+        if let Some(pos) = entry.holders.iter().position(|&(o, _)| o == s) {
             let held_mode = entry.holders[pos].1;
             if held_mode.covers(mode) {
                 return RequestOutcome::AlreadyHeld;
@@ -422,27 +462,19 @@ impl LockTable {
                 entry.holders[pos].1 = LockMode::Exclusive;
                 return RequestOutcome::Granted;
             }
-            enqueue(
-                entry,
-                arena,
-                free,
-                waiting,
-                owner,
-                lock,
-                LockMode::Exclusive,
-            );
+            enqueue(entry, arena, free, slots, s, lock, LockMode::Exclusive);
             return RequestOutcome::Queued;
         }
 
         // FIFO fairness: a new request queues behind existing waiters even
         // if it would be compatible with the current holders.
         if entry.q_len == 0 && entry.compatible(mode) {
-            entry.holders.push((owner, mode));
-            held_insert(held, held_pool, owner, lock);
+            entry.holders.push((s, mode));
+            slots[s as usize].held.push(lock);
             *grants += 1;
             RequestOutcome::Granted
         } else {
-            enqueue(entry, arena, free, waiting, owner, lock, mode);
+            enqueue(entry, arena, free, slots, s, lock, mode);
             RequestOutcome::Queued
         }
     }
@@ -451,12 +483,18 @@ impl LockTable {
     /// returning the grants handed to unblocked waiters, in grant order.
     pub fn release_all(&mut self, owner: OwnerId) -> Vec<Grant> {
         let timer = Timer::start_if(self.profiling);
-        let mut grants = self.cancel_wait_impl(owner);
-        let locks = self.held.remove(&owner).unwrap_or_default();
-        for &lock in &locks {
-            self.remove_holder(lock, owner, &mut grants);
+        let mut grants = Vec::new();
+        if let Some(&s) = self.slot_of.get(&owner) {
+            self.cancel_slot_wait(s, &mut grants);
+            let mut locks = std::mem::take(&mut self.slots[s as usize].held);
+            for &lock in &locks {
+                self.remove_holder(lock, s, &mut grants);
+            }
+            // Hand the emptied list back so the slot's next owner reuses it.
+            locks.clear();
+            self.slots[s as usize].held = locks;
+            self.release_if_idle(s);
         }
-        recycle(&mut self.held_pool, locks);
         timer.stop_into(&mut self.stats.release_all);
         grants
     }
@@ -472,19 +510,17 @@ impl LockTable {
     }
 
     fn release_one_impl(&mut self, owner: OwnerId, lock: LockId) -> Vec<Grant> {
-        let Some(locks) = self.held.get_mut(&owner) else {
+        let Some(&s) = self.slot_of.get(&owner) else {
             return Vec::new();
         };
-        let Some(pos) = locks.iter().position(|&l| l == lock) else {
+        let held = &mut self.slots[s as usize].held;
+        let Some(pos) = held.iter().position(|&l| l == lock) else {
             return Vec::new();
         };
-        locks.remove(pos);
-        if locks.is_empty() {
-            let list = self.held.remove(&owner).expect("held list vanished");
-            recycle(&mut self.held_pool, list);
-        }
+        held.remove(pos);
         let mut grants = Vec::new();
-        self.remove_holder(lock, owner, &mut grants);
+        self.remove_holder(lock, s, &mut grants);
+        self.release_if_idle(s);
         grants
     }
 
@@ -493,34 +529,46 @@ impl LockTable {
     /// at the head of a queue.
     pub fn cancel_wait(&mut self, owner: OwnerId) -> Vec<Grant> {
         let timer = Timer::start_if(self.profiling);
-        let out = self.cancel_wait_impl(owner);
+        let mut grants = Vec::new();
+        if let Some(&s) = self.slot_of.get(&owner) {
+            self.cancel_slot_wait(s, &mut grants);
+            self.release_if_idle(s);
+        }
         timer.stop_into(&mut self.stats.cancel_wait);
-        out
+        grants
     }
 
-    fn cancel_wait_impl(&mut self, owner: OwnerId) -> Vec<Grant> {
+    /// Dequeues slot `s`'s wait, if any, and promotes the waiters it was
+    /// blocking. Leaves the slot itself in place.
+    fn cancel_slot_wait(&mut self, s: u32, grants: &mut Vec<Grant>) {
         let lock = {
             let LockTable {
                 entries,
-                waiting,
+                slots,
                 arena,
                 free,
                 ..
             } = self;
-            let Some(h) = waiting.remove(&owner) else {
-                return Vec::new();
-            };
+            let h = std::mem::replace(&mut slots[s as usize].wait, NIL);
+            if h == NIL {
+                return;
+            }
             let lock = arena[h as usize].lock;
             let entry = entries.get_mut(&lock).expect("waiting on unknown lock");
+            // The cancelled node's holder edges go with it.
+            let node = &arena[h as usize];
+            for &b in &node.blockers[..node.n_holder as usize] {
+                slots[b as usize].holder_in -= 1;
+            }
             // Waiters behind the cancelled node lose their queue edge to
-            // `owner` (a holder edge, if any, survives).
-            let mut cur = arena[h as usize].next;
+            // `s` (a holder edge, if any, survives).
+            let mut cur = node.next;
             while cur != NIL {
                 let node = &mut arena[cur as usize];
                 let nh = node.n_holder as usize;
                 let pos = node.blockers[nh..]
                     .iter()
-                    .position(|&b| b == owner)
+                    .position(|&b| b == s)
                     .expect("wait-for graph desync: missing queue edge")
                     + nh;
                 node.blockers.remove(pos);
@@ -530,10 +578,8 @@ impl LockTable {
             free.push(h);
             lock
         };
-        let mut grants = Vec::new();
-        self.promote_waiters(lock, &mut grants);
+        self.promote_waiters(lock, grants);
         self.drop_if_empty(lock);
-        grants
     }
 
     /// Forcibly grants `lock` to `owner` in `mode`, removing every
@@ -554,12 +600,12 @@ impl LockTable {
     }
 
     fn force_acquire_impl(&mut self, lock: LockId, owner: OwnerId, mode: LockMode) -> ForceOutcome {
+        let s = self.intern(owner);
         let displaced = {
             let LockTable {
                 entries,
-                held,
+                slots,
                 arena,
-                held_pool,
                 grants,
                 ..
             } = self;
@@ -567,47 +613,58 @@ impl LockTable {
             let prior_mode = entry
                 .holders
                 .iter()
-                .find(|&&(o, _)| o == owner)
+                .find(|&&(o, _)| o == s)
                 .map(|&(_, m)| m);
             // Re-acquisition keeps the strongest of the old and new modes.
             let mode = match prior_mode {
                 Some(LockMode::Exclusive) => LockMode::Exclusive,
                 _ => mode,
             };
+            // Incompatible holders are displaced: they lose their holder
+            // edges and the lock.
             let mut displaced = Vec::new();
-            entry.holders.retain(|&(o, m)| {
-                if o == owner {
-                    false // re-appended below, in strongest mode
-                } else if !mode.compatible_with(m) {
-                    displaced.push(o);
-                    false
-                } else {
-                    true
+            for &(d, m) in &entry.holders {
+                if d != s && !mode.compatible_with(m) {
+                    remove_holder_edges(entry, arena, slots, d);
+                    let held = &mut slots[d as usize].held;
+                    let pos = held
+                        .iter()
+                        .position(|&l| l == lock)
+                        .expect("held set desync");
+                    held.remove(pos);
+                    *grants -= 1;
+                    displaced.push(slots[d as usize].owner);
                 }
-            });
-            entry.holders.push((owner, mode));
-            // Wait-for graph: drop edges to the displaced, and move (or
-            // add) `owner`'s holder edge to the end of each waiter's
-            // holders section, mirroring the re-append above.
-            for &d in &displaced {
-                remove_holder_edges(entry, arena, d);
             }
+            // `owner` is re-appended in the strongest mode, so its holder
+            // edge moves (or is added) to the end of each waiter's
+            // holders section.
+            entry
+                .holders
+                .retain(|&(o, m)| o != s && mode.compatible_with(m));
+            entry.holders.push((s, mode));
             if prior_mode.is_some() {
-                remove_holder_edges(entry, arena, owner);
+                remove_holder_edges(entry, arena, slots, s);
             }
-            insert_holder_edges(entry, arena, owner);
-            for &d in &displaced {
-                held_remove(held, held_pool, d, lock);
-                *grants -= 1;
-            }
+            insert_holder_edges(entry, arena, slots, s);
             if prior_mode.is_none() {
-                held_insert(held, held_pool, owner, lock);
+                slots[s as usize].held.push(lock);
                 *grants += 1;
             }
             displaced
         };
         let mut grants = Vec::new();
         self.promote_waiters(lock, &mut grants);
+        // A displaced owner that neither holds nor waits any more (a
+        // queued upgrade on this lock may just have been granted) gives
+        // up its slot.
+        for owner in &displaced {
+            let d = *self
+                .slot_of
+                .get(owner)
+                .expect("displaced owner lost its slot");
+            self.release_if_idle(d);
+        }
         ForceOutcome { displaced, grants }
     }
 
@@ -643,38 +700,42 @@ impl LockTable {
     /// Current holders of `lock` with their modes.
     #[must_use]
     pub fn holders(&self, lock: LockId) -> Vec<(OwnerId, LockMode)> {
-        self.entries
-            .get(&lock)
-            .map_or_else(Vec::new, |e| e.holders.clone())
+        self.entries.get(&lock).map_or_else(Vec::new, |e| {
+            e.holders
+                .iter()
+                .map(|&(s, m)| (self.slots[s as usize].owner, m))
+                .collect()
+        })
     }
 
     /// Returns `true` if `owner` holds `lock` in a mode covering `mode`.
     #[must_use]
     pub fn holds(&self, owner: OwnerId, lock: LockId, mode: LockMode) -> bool {
-        self.entries
-            .get(&lock)
-            .is_some_and(|e| e.holders.iter().any(|&(o, m)| o == owner && m.covers(mode)))
+        let (Some(&s), Some(e)) = (self.slot_of.get(&owner), self.entries.get(&lock)) else {
+            return false;
+        };
+        e.holders.iter().any(|&(o, m)| o == s && m.covers(mode))
     }
 
     /// Locks held by `owner`, in acquisition order.
     #[must_use]
     pub fn held_locks(&self, owner: OwnerId) -> Vec<LockId> {
-        self.held.get(&owner).cloned().unwrap_or_default()
+        self.slot(owner).map_or_else(Vec::new, |s| s.held.clone())
     }
 
-    /// Number of locks held by `owner` — O(1) via the owner index, for
-    /// victim selection (no list clone).
+    /// Number of locks held by `owner` — O(1) via its slot, for victim
+    /// selection (no list clone).
     #[must_use]
     pub fn held_count(&self, owner: OwnerId) -> usize {
-        self.held.get(&owner).map_or(0, Vec::len)
+        self.slot(owner).map_or(0, |s| s.held.len())
     }
 
     /// The lock `owner` currently waits for, if any.
     #[must_use]
     pub fn waiting_for(&self, owner: OwnerId) -> Option<LockId> {
-        self.waiting
-            .get(&owner)
-            .map(|&h| self.arena[h as usize].lock)
+        self.slot(owner)
+            .filter(|s| s.wait != NIL)
+            .map(|s| self.arena[s.wait as usize].lock)
     }
 
     /// Total number of (owner, lock) grants in the table — the `n_lock`
@@ -687,7 +748,8 @@ impl LockTable {
     /// Number of transactions blocked in wait queues.
     #[must_use]
     pub fn waiter_count(&self) -> usize {
-        self.waiting.len()
+        // Every live arena node is exactly one queued wait.
+        self.arena.len() - self.free.len()
     }
 
     /// Detects whether granting the wait of `owner` is impossible because of
@@ -704,62 +766,97 @@ impl LockTable {
     /// Returns the members of a wait-for cycle through `owner` (the victim
     /// candidates), or an empty vector if `owner` is not deadlocked.
     ///
-    /// The cycle is found by depth-first search from `owner` along the
-    /// pre-built wait-for edges; every returned member is currently waiting
-    /// (or is `owner` itself, which is about to wait). The traversal order
-    /// — and therefore the reported cycle — is identical to the reference
-    /// model's, which victim selection depends on.
+    /// A cycle can only close through a wait-for edge into `owner`, so
+    /// the probe returns at once when there is none: nobody queues behind
+    /// `owner` and no waiter has a holder edge to it. Otherwise the cycle
+    /// is found by depth-first search from `owner` along the pre-built
+    /// wait-for edges; every returned member is currently waiting (or is
+    /// `owner` itself, which is about to wait). The search visits the
+    /// blockers of each owner last-first, as the reference model's stack
+    /// does, so the reported cycle — members and order, which victim
+    /// selection depends on — is identical to the reference model's.
     #[must_use]
     pub fn deadlock_cycle(&self, owner: OwnerId) -> Vec<OwnerId> {
-        // Iterative DFS with an explicit path, so the cycle can be
-        // reconstructed when we reach `owner` again. The buffers are
-        // table-owned scratch: the probe runs after every blocked request
-        // on the simulator's hot path and must not allocate.
-        let mut scratch = self.scratch.borrow_mut();
-        let DfsScratch {
-            visited,
-            path,
-            stack,
-        } = &mut *scratch;
-        visited.clear();
-        path.clear();
-        stack.clear();
-        stack.push((owner, 0));
-        while let Some((o, depth)) = stack.pop() {
-            path.truncate(depth);
-            if o == owner && depth > 0 {
-                return path.clone();
-            }
-            if !visited.insert(o) {
-                continue;
-            }
-            path.push(o);
-            let blockers: &[OwnerId] = self
-                .waiting
-                .get(&o)
-                .map_or(&[], |&h| &self.arena[h as usize].blockers);
-            for &blocker in blockers {
-                if blocker == owner {
-                    return path.clone();
-                }
-                stack.push((blocker, depth + 1));
-            }
+        let Some(&root) = self.slot_of.get(&owner) else {
+            return Vec::new();
+        };
+        let r = &self.slots[root as usize];
+        if r.wait == NIL || (r.holder_in == 0 && self.arena[r.wait as usize].next == NIL) {
+            return Vec::new();
         }
-        Vec::new()
+        let stamp = self.next_stamp();
+        // The frames hold the path from `owner` to the current waiter,
+        // each with the number of its blockers not yet tried. The buffer
+        // is table-owned scratch: the probe runs after every blocked
+        // request on the simulator's hot path and must not allocate.
+        let mut frames = self.frames.borrow_mut();
+        frames.clear();
+        let mut h = r.wait;
+        r.visit.set(stamp);
+        loop {
+            let blockers = &self.arena[h as usize].blockers;
+            if blockers.contains(&root) {
+                return frames
+                    .iter()
+                    .map(|&(f, _)| f)
+                    .chain(std::iter::once(h))
+                    .map(|f| self.slots[self.arena[f as usize].slot as usize].owner)
+                    .collect();
+            }
+            frames.push((h, blockers.len() as u32));
+            // Descend into the next blocker that waits and is not yet
+            // visited, backtracking out of exhausted frames. Blockers
+            // that hold but do not wait have no edges to follow.
+            h = loop {
+                let Some((f, left)) = frames.last_mut() else {
+                    return Vec::new();
+                };
+                if *left == 0 {
+                    frames.pop();
+                    continue;
+                }
+                *left -= 1;
+                let b = &self.slots[self.arena[*f as usize].blockers[*left as usize] as usize];
+                if b.wait != NIL && b.visit.get() != stamp {
+                    b.visit.set(stamp);
+                    break b.wait;
+                }
+            };
+        }
     }
 
-    fn remove_holder(&mut self, lock: LockId, owner: OwnerId, grants: &mut Vec<Grant>) {
+    /// Advances the probe stamp. Slots carry the stamp of the last probe
+    /// that visited them, so a fresh stamp unmarks every slot at once;
+    /// only when the counter wraps are the marks cleared by hand.
+    fn next_stamp(&self) -> u32 {
+        let mut stamp = self.stamp.get().wrapping_add(1);
+        if stamp == 0 {
+            for slot in &self.slots {
+                slot.visit.set(0);
+            }
+            stamp = 1;
+        }
+        self.stamp.set(stamp);
+        stamp
+    }
+
+    fn remove_holder(&mut self, lock: LockId, s: u32, grants: &mut Vec<Grant>) {
         {
-            let LockTable { entries, arena, .. } = self;
+            let LockTable {
+                entries,
+                slots,
+                arena,
+                ..
+            } = self;
             let Some(entry) = entries.get_mut(&lock) else {
                 return;
             };
-            let Some(pos) = entry.holders.iter().position(|&(o, _)| o == owner) else {
+            let Some(pos) = entry.holders.iter().position(|&(o, _)| o == s) else {
                 return;
             };
             entry.holders.remove(pos);
             self.grants -= 1;
-            remove_holder_edges(entry, arena, owner);
+            remove_holder_edges(entry, arena, slots, s);
         }
         self.promote_waiters(lock, grants);
         self.drop_if_empty(lock);
@@ -770,11 +867,9 @@ impl LockTable {
     fn promote_waiters(&mut self, lock: LockId, grants: &mut Vec<Grant>) {
         let LockTable {
             entries,
-            held,
-            waiting,
+            slots,
             arena,
             free,
-            held_pool,
             grants: grant_count,
             ..
         } = self;
@@ -784,13 +879,13 @@ impl LockTable {
             if head == NIL {
                 break;
             }
-            let (owner, mode) = {
+            let (s, mode) = {
                 let node = &arena[head as usize];
-                (node.owner, node.mode)
+                (node.slot, node.mode)
             };
             // An upgrade waiter already holds the lock in shared mode; it is
             // grantable when it is the sole remaining holder.
-            let is_upgrade = entry.holders.iter().any(|&(o, _)| o == owner);
+            let is_upgrade = entry.holders.iter().any(|&(o, _)| o == s);
             let ok = if is_upgrade {
                 entry.holders.len() == 1
             } else {
@@ -800,44 +895,56 @@ impl LockTable {
                 break;
             }
             unlink(entry, arena, head);
+            // At the head of the queue every edge is a holder edge; they
+            // go with the node.
+            for &b in &arena[head as usize].blockers {
+                slots[b as usize].holder_in -= 1;
+            }
             if is_upgrade {
                 let h = entry
                     .holders
                     .iter_mut()
-                    .find(|(o, _)| *o == owner)
+                    .find(|(o, _)| *o == s)
                     .expect("upgrade holder vanished");
                 h.1 = LockMode::Exclusive;
-                // Remaining waiters drop their queue edge to `owner` (it
-                // was first in their queue section); the holder edge stays.
+                // Remaining waiters drop their queue edge to `s` (it was
+                // first in their queue section); the holder edge stays.
                 let mut cur = entry.q_head;
                 while cur != NIL {
                     let node = &mut arena[cur as usize];
                     let nh = node.n_holder as usize;
-                    debug_assert_eq!(node.blockers[nh], owner, "queue-edge order desync");
+                    debug_assert_eq!(node.blockers[nh], s, "queue-edge order desync");
                     node.blockers.remove(nh);
                     cur = node.next;
                 }
             } else {
-                entry.holders.push((owner, mode));
-                held_insert(held, held_pool, owner, lock);
+                entry.holders.push((s, mode));
+                slots[s as usize].held.push(lock);
                 *grant_count += 1;
-                // For every remaining waiter, `owner` was the first entry
-                // of its queue section and is now the last holder — the
-                // same position, so only the section boundary moves.
+                // For every remaining waiter, `s` was the first entry of
+                // its queue section and is now the last holder — the same
+                // position, so only the section boundary moves, and the
+                // queue edge becomes a holder edge.
                 let mut cur = entry.q_head;
                 while cur != NIL {
                     let node = &mut arena[cur as usize];
                     debug_assert_eq!(
-                        node.blockers[node.n_holder as usize], owner,
+                        node.blockers[node.n_holder as usize], s,
                         "queue-edge order desync"
                     );
                     node.n_holder += 1;
+                    slots[s as usize].holder_in += 1;
                     cur = node.next;
                 }
             }
-            waiting.remove(&owner);
+            let slot = &mut slots[s as usize];
+            slot.wait = NIL;
             free.push(head);
-            grants.push(Grant { lock, owner, mode });
+            grants.push(Grant {
+                lock,
+                owner: slot.owner,
+                mode,
+            });
         }
     }
 
@@ -847,9 +954,10 @@ impl LockTable {
         }
     }
 
-    /// Checks internal invariants, including the cross-consistency of all
-    /// three indexes: wait-for edges ↔ waiter queues, owner index ↔ entry
-    /// holders, and arena accounting; used by tests.
+    /// Checks internal invariants, including the cross-consistency of
+    /// every index: wait-for edges ↔ waiter queues, slot records ↔ entry
+    /// holders and queues, the owner map ↔ live slots, and arena and slot
+    /// accounting; used by tests.
     ///
     /// # Panics
     ///
@@ -857,6 +965,8 @@ impl LockTable {
     pub fn check_invariants(&self) {
         let mut total = 0;
         let mut queue_total = 0usize;
+        // Holder edges into each slot, rebuilt from the queues.
+        let mut holder_in = vec![0u32; self.slots.len()];
         for (lock, entry) in &self.entries {
             // No incompatible co-holders.
             for (i, &(_, m1)) in entry.holders.iter().enumerate() {
@@ -872,36 +982,36 @@ impl LockTable {
             let mut cur = entry.q_head;
             let mut prev = NIL;
             let mut seen = 0u32;
-            let mut ahead: Vec<OwnerId> = Vec::new();
+            let mut ahead: Vec<u32> = Vec::new();
             while cur != NIL {
                 let node = &self.arena[cur as usize];
+                let owner = self.slots[node.slot as usize].owner;
                 assert_eq!(node.lock, *lock, "queued node points at wrong lock");
                 assert_eq!(node.prev, prev, "queue prev link broken on {lock}");
                 assert_eq!(
-                    self.waiting.get(&node.owner),
-                    Some(&cur),
-                    "waiter {} not registered in waiting index",
-                    node.owner
+                    self.slots[node.slot as usize].wait, cur,
+                    "waiter {owner} not registered in its slot"
                 );
-                let mut expect: Vec<OwnerId> = entry
+                let mut expect: Vec<u32> = entry
                     .holders
                     .iter()
                     .map(|&(h, _)| h)
-                    .filter(|&h| h != node.owner)
+                    .filter(|&h| h != node.slot)
                     .collect();
+                for &h in &expect {
+                    holder_in[h as usize] += 1;
+                }
                 let expect_holders = expect.len();
                 expect.extend(ahead.iter().copied());
                 assert_eq!(
                     node.n_holder as usize, expect_holders,
-                    "holders-section length desync for {} on {lock}",
-                    node.owner
+                    "holders-section length desync for {owner} on {lock}"
                 );
                 assert_eq!(
                     node.blockers, expect,
-                    "wait-for edges desync for {} on {lock}",
-                    node.owner
+                    "wait-for edges desync for {owner} on {lock}"
                 );
-                ahead.push(node.owner);
+                ahead.push(node.slot);
                 seen += 1;
                 prev = cur;
                 cur = node.next;
@@ -912,7 +1022,7 @@ impl LockTable {
             // Head waiter (if not an upgrade) must actually be blocked.
             if entry.q_head != NIL {
                 let node = &self.arena[entry.q_head as usize];
-                let is_upgrade = entry.holders.iter().any(|&(o, _)| o == node.owner);
+                let is_upgrade = entry.holders.iter().any(|&(o, _)| o == node.slot);
                 if is_upgrade {
                     assert!(
                         entry.holders.len() > 1,
@@ -926,31 +1036,87 @@ impl LockTable {
                 }
             }
             total += entry.holders.len();
-            // Every entry holder appears in the owner index.
+            // Every entry holder lists the lock in its slot.
             for &(h, _) in &entry.holders {
+                let slot = &self.slots[h as usize];
                 assert!(
-                    self.held.get(&h).is_some_and(|v| v.contains(lock)),
-                    "holder {h} of {lock} missing from owner index"
+                    self.slot_of.get(&slot.owner) == Some(&h) && slot.held.contains(lock),
+                    "holder {} of {lock} missing from its slot",
+                    slot.owner
                 );
             }
             assert!(!entry.is_empty(), "empty entry for {lock} not dropped");
         }
-        assert_eq!(queue_total, self.waiting.len(), "waiting index desync");
+        assert_eq!(queue_total, self.waiter_count(), "waiter count desync");
         assert_eq!(total, self.grants, "grants counter desync");
-        let held_total: usize = self.held.values().map(Vec::len).sum();
-        assert_eq!(held_total, self.grants, "held map desync");
-        // Owner index → entries direction.
-        for (owner, locks) in &self.held {
-            for l in locks {
+        // Live slots: registered under their owner, neither idle nor
+        // free, every held lock really held, the wait handle pointing at
+        // a node of their own, and the holder-edge count exact.
+        let free_slots: FxSet<u32> = self.free_slots.iter().copied().collect();
+        assert_eq!(
+            free_slots.len(),
+            self.free_slots.len(),
+            "duplicate slot on free list"
+        );
+        let mut held_total = 0;
+        for (&owner, &s) in &self.slot_of {
+            let slot = &self.slots[s as usize];
+            assert_eq!(slot.owner, owner, "slot {s} registered for {owner}");
+            assert!(
+                !free_slots.contains(&s),
+                "{owner}'s slot is on the free list"
+            );
+            assert!(!slot.is_idle(), "idle slot of {owner} not recycled");
+            for l in &slot.held {
                 assert!(
                     self.entries
                         .get(l)
-                        .is_some_and(|e| e.holders.iter().any(|&(o, _)| o == *owner)),
-                    "owner index lists {l} not held by {owner}"
+                        .is_some_and(|e| e.holders.iter().any(|&(o, _)| o == s)),
+                    "slot of {owner} lists {l}, which it does not hold"
                 );
             }
+            held_total += slot.held.len();
+            if slot.wait != NIL {
+                assert_eq!(
+                    self.arena[slot.wait as usize].slot, s,
+                    "{owner}'s wait handle points at another waiter's node"
+                );
+            }
+            assert_eq!(
+                slot.holder_in, holder_in[s as usize],
+                "holder-edge count desync for {owner}"
+            );
         }
+        assert_eq!(held_total, self.grants, "held lists desync");
+        // Queued nodes register in distinct slots (checked above), so equal
+        // counts leave no live slot pointing at a freed node.
+        let waiting = self
+            .slot_of
+            .values()
+            .filter(|&&s| self.slots[s as usize].wait != NIL);
+        assert_eq!(waiting.count(), queue_total, "slot wait handles desync");
+        // Free slots: idle, edge-free, and accounted for exactly once.
+        for &s in &self.free_slots {
+            let slot = &self.slots[s as usize];
+            assert!(
+                slot.is_idle() && slot.holder_in == 0,
+                "free slot {s} still in use"
+            );
+        }
+        assert_eq!(
+            self.slot_of.len() + self.free_slots.len(),
+            self.slots.len(),
+            "slot leak: {} live + {} free != {} slots",
+            self.slot_of.len(),
+            self.free_slots.len(),
+            self.slots.len()
+        );
         // Arena accounting: every node is queued exactly once or free.
+        let mut free_seen: FxSet<u32> = FxSet::default();
+        for &f in &self.free {
+            assert!((f as usize) < self.arena.len(), "free handle out of range");
+            assert!(free_seen.insert(f), "duplicate handle on free list");
+        }
         assert_eq!(
             queue_total + self.free.len(),
             self.arena.len(),
@@ -958,43 +1124,36 @@ impl LockTable {
             self.free.len(),
             self.arena.len()
         );
-        let mut free_seen: FxSet<u32> = FxSet::default();
-        for &f in &self.free {
-            assert!((f as usize) < self.arena.len(), "free handle out of range");
-            assert!(free_seen.insert(f), "duplicate handle on free list");
-            assert!(
-                self.waiting.values().all(|&h| h != f),
-                "freed node still registered as waiting"
-            );
-        }
     }
 }
 
-/// Links a fresh waiter node at the tail of `entry`'s queue, building its
-/// wait-for edges (holders first, then the waiters ahead of it).
+/// Links a fresh waiter node for slot `s` at the tail of `entry`'s queue,
+/// building its wait-for edges (holders first, then the waiters ahead of
+/// it).
 fn enqueue(
     entry: &mut LockEntry,
     arena: &mut Vec<WaiterNode>,
     free: &mut Vec<u32>,
-    waiting: &mut FxMap<OwnerId, u32>,
-    owner: OwnerId,
+    slots: &mut [OwnerSlot],
+    s: u32,
     lock: LockId,
     mode: LockMode,
 ) {
-    let h = alloc_node(arena, free, owner, lock, mode);
+    let h = alloc_node(arena, free, s, lock, mode);
     // Build the edge list in a detached buffer (reusing the recycled
     // node's allocation) so the arena can be read while filling it.
     let mut blockers = std::mem::take(&mut arena[h as usize].blockers);
     for &(holder, _) in &entry.holders {
-        if holder != owner {
+        if holder != s {
             blockers.push(holder);
+            slots[holder as usize].holder_in += 1;
         }
     }
     let n_holder = blockers.len() as u32;
     let mut cur = entry.q_head;
     while cur != NIL {
         let node = &arena[cur as usize];
-        blockers.push(node.owner);
+        blockers.push(node.slot);
         cur = node.next;
     }
     {
@@ -1011,7 +1170,7 @@ fn enqueue(
     }
     entry.q_tail = h;
     entry.q_len += 1;
-    waiting.insert(owner, h);
+    slots[s as usize].wait = h;
 }
 #[cfg(test)]
 mod tests {
@@ -1285,6 +1444,38 @@ mod tests {
         t.request(o(1), l(1), Exclusive);
         t.request(o(2), l(1), Exclusive);
         t.request(o(2), l(2), Exclusive);
+    }
+
+    #[test]
+    fn owner_slots_are_recycled() {
+        // A stream of short-lived owners with ever-growing ids reuses two
+        // slots: the table is sized by the owners live at once, not by
+        // the range of owner ids.
+        let mut t = LockTable::new();
+        for i in 0..1000u64 {
+            t.request(o(i), l(1), Exclusive);
+            t.request(o(i + 1_000_000), l(1), Exclusive); // queued
+            t.check_invariants();
+            t.release_all(o(i));
+            t.release_all(o(i + 1_000_000));
+        }
+        assert_eq!(t.slots.len(), 2);
+        assert!(t.slot_of.is_empty());
+        t.check_invariants();
+    }
+
+    #[test]
+    fn probe_stamp_wraps_cleanly() {
+        let mut t = LockTable::new();
+        t.request(o(1), l(1), Exclusive);
+        t.request(o(2), l(2), Exclusive);
+        t.request(o(1), l(2), Exclusive);
+        t.request(o(2), l(1), Exclusive);
+        t.stamp.set(u32::MAX - 1);
+        for _ in 0..4 {
+            assert_eq!(t.deadlock_cycle(o(2)), vec![o(2), o(1)]);
+        }
+        assert_eq!(t.stamp.get(), 3, "the stamp skips 0 when it wraps");
     }
 
     #[test]
