@@ -9,9 +9,16 @@
 //!
 //! A probe can only find a cycle by following a wait-for edge back into
 //! the probed owner, so an owner with no incoming edge is never
-//! deadlocked. The last three tests sit on the boundaries of that rule:
-//! an owner nobody waits on, and owners whose only incoming edge is a
-//! queue edge from behind or a holder edge from ahead on the same lock.
+//! deadlocked. Three tests sit on the boundaries of that rule: an owner
+//! nobody waits on, and owners whose only incoming edge is a queue edge
+//! from behind or a holder edge from ahead on the same lock.
+//!
+//! The last three tests pin the shapes a walk over holder edges alone
+//! must get right: a cycle that returns through the second of two shared
+//! holders while the first heads a long acyclic chain, a holder chain
+//! that runs into a cycle among other owners, and a way back that meets
+//! a waiter queued ahead of the probed owner on its own lock, which
+//! closes a cycle only when that owner shares the lock.
 
 use hls_lockmgr::model::ReferenceLockTable;
 use hls_lockmgr::{LockId, LockMode, LockTable, OwnerId, RequestOutcome};
@@ -213,6 +220,96 @@ fn queued_upgrade_closed_by_a_holder_edge_from_ahead() {
         assert_eq!(t.path(OwnerId(1)), vec![1, 3]);
         assert_eq!(t.path(OwnerId(3)), vec![3, 1]);
         assert!(!t.in_deadlock(OwnerId(2)), "T2 holds and waits for nothing");
+    });
+}
+
+#[test]
+fn cycle_through_the_second_of_two_shared_holders() {
+    // T2 and T3 share L1; T1 holds L2 and queues for L1 exclusively.
+    // T2 heads an acyclic chain T2 → T10 → … → T15 (T15 only holds).
+    // T3 waits for L2, held by T1, so the cycle is T1 → T3 → T1.
+    let s = LockMode::Shared;
+    let mut script = vec![(2, 1, s), (3, 1, s), (1, 2, X)];
+    script.extend((10..=15).map(|o| (o, o as u32, X)));
+    script.push((2, 10, X));
+    script.extend((10..15).map(|o| (o, o as u32 + 1, X)));
+    script.extend([(3, 2, X), (1, 1, X)]);
+    both_moded(&script, |t| {
+        assert!(t.in_deadlock(OwnerId(1)), "T1 should deadlock");
+        assert_eq!(t.path(OwnerId(1)), vec![1, 3]);
+        assert!(t.in_deadlock(OwnerId(3)), "T3 should deadlock");
+        assert_eq!(t.path(OwnerId(3)), vec![3, 1]);
+        for owner in [2, 10, 11, 12, 13, 14, 15] {
+            assert!(
+                !t.in_deadlock(OwnerId(owner)),
+                "T{owner} falsely deadlocked"
+            );
+            assert_eq!(t.path(OwnerId(owner)), Vec::<u64>::new());
+        }
+    });
+}
+
+#[test]
+fn holder_chain_into_a_foreign_cycle_is_clean() {
+    // T3 and T4 deadlock on L3/L4. T2 holds L1 and queues for L3 behind
+    // T4, T1 queues for L1 and T5 queues behind T1. T1's holders lead
+    // into the T3↔T4 cycle, which never returns to T1: the walk must
+    // stop at the owners it has seen instead of circling.
+    both(
+        &[
+            (2, 1),
+            (3, 3),
+            (4, 4),
+            (3, 4),
+            (4, 3),
+            (2, 3),
+            (1, 1),
+            (5, 1),
+        ],
+        |t| {
+            for owner in [1, 2, 5] {
+                assert!(
+                    !t.in_deadlock(OwnerId(owner)),
+                    "T{owner} falsely deadlocked"
+                );
+                assert_eq!(t.path(OwnerId(owner)), Vec::<u64>::new());
+            }
+            assert_eq!(t.path(OwnerId(3)), vec![3, 4]);
+            assert_eq!(t.path(OwnerId(4)), vec![4, 3]);
+        },
+    );
+}
+
+#[test]
+fn waiter_ahead_on_the_same_lock_closes_a_cycle_only_for_a_sharer() {
+    // T2 holds L1 and T3 holds L2. T3 queues for L1, T1 queues behind
+    // it, then T2 waits for L2: T2↔T3 deadlock. T4 queues behind T1 so
+    // that an edge enters T1. T1's way back reaches T3, but T3 is ahead
+    // of T1 in L1's queue and has no edge to T1.
+    both(&[(2, 1), (3, 2), (3, 1), (1, 1), (2, 2), (4, 1)], |t| {
+        assert!(!t.in_deadlock(OwnerId(1)), "T1 falsely deadlocked");
+        assert_eq!(t.path(OwnerId(1)), Vec::<u64>::new());
+        assert!(!t.in_deadlock(OwnerId(4)), "T4 falsely deadlocked");
+        assert_eq!(t.path(OwnerId(2)), vec![2, 3]);
+        assert_eq!(t.path(OwnerId(3)), vec![3, 2]);
+    });
+    // The same topology with T1 sharing L1 with T2: T3 now also waits
+    // for T1, and T1's queued upgrade waits behind T3.
+    let s = LockMode::Shared;
+    let script = [
+        (2, 1, s),
+        (1, 1, s),
+        (3, 2, X),
+        (3, 1, X),
+        (1, 1, X),
+        (2, 2, X),
+        (4, 1, X),
+    ];
+    both_moded(&script, |t| {
+        assert!(t.in_deadlock(OwnerId(1)), "T1 should deadlock");
+        assert_eq!(t.path(OwnerId(1)), vec![1, 3]);
+        assert!(!t.in_deadlock(OwnerId(4)), "T4 falsely deadlocked");
+        assert_eq!(t.path(OwnerId(2)), vec![2, 3]);
     });
 }
 

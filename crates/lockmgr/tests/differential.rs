@@ -14,17 +14,23 @@
 //! * both tables' `check_invariants` (the indexed one cross-checks its
 //!   wait-for edges, owner index and arena against the raw entries).
 //!
-//! Two generator profiles share the generator, the checks and the
+//! Three generator profiles share the generator, the checks and the
 //! shrinker. `WIDE` spreads 12 owners over 12 locks with every operation
 //! kind in the mix. `DEEP` puts 64 owners on 16 mostly exclusive locks
 //! and rarely releases, so about 25 owners wait at a time (up to 56) in
 //! wait-for chains and cycles of up to 17 members: the deadlock probe
 //! backtracks through long chains, owners leave the table and new ones
 //! take their place between probes, and many probed owners have no
-//! wait-for edge into them at all.
+//! wait-for edge into them at all. `FANOUT` puts 48 owners on 8 locks
+//! with half of the requests shared and rarely releases. After a step
+//! about 1.8 of its locks carry two or more holders, against 0.17 in
+//! `DEEP`, so a probe branches at shared locks; 0.17 owners queue an
+//! upgrade of a lock they share (0.01 in `DEEP`), and 1.5 owners sit on
+//! a cycle (0.6 in `DEEP`).
 //!
 //! Case count: the `PROPTEST_CASES` env var, per profile (default 1000
-//! wide, 200 deep), each sequence within the profile's operation range.
+//! wide, 200 deep and fanout), each sequence within the profile's
+//! operation range.
 //! On a mismatch the failing sequence is greedily shrunk to a
 //! locally-minimal reproducer before panicking, so CI failures print a
 //! short op list, not 200 lines of noise.
@@ -80,6 +86,18 @@ const DEEP: Profile = Profile {
     ops: (200, MAX_OPS),
     // Each step checks all 64 owners' views and probes: 1,000 cases take
     // minutes in an unoptimized build, so the default is smaller.
+    default_cases: 200,
+};
+
+/// Many owners on few locks, half of the requests shared, with requests
+/// far outnumbering releases: multi-holder locks and queued upgrades.
+const FANOUT: Profile = Profile {
+    requesters: 44,
+    owners: 48,
+    locks: 8,
+    shared_one_in: 2,
+    mix: [24, 2, 1, 1, 1, 1, 1],
+    ops: (200, MAX_OPS),
     default_cases: 200,
 };
 
@@ -382,6 +400,12 @@ fn indexed_table_matches_reference_model() {
 #[test]
 fn indexed_table_matches_reference_model_on_deep_wait_graphs() {
     differential_cases(&DEEP, 0xDEE9);
+}
+
+/// The fanout profile: shared holders and queued upgrades.
+#[test]
+fn indexed_table_matches_reference_model_on_shared_fanout() {
+    differential_cases(&FANOUT, 0xFA40);
 }
 
 /// A hostile profile: single lock, exclusive-only, constant churn — the
