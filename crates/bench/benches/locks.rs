@@ -83,7 +83,8 @@ fn bench_deadlock_check() {
 
     // An open chain probed from an owner with a waiter queued behind it:
     // the edge into the probed tail sends the probe down all 85 owners,
-    // and it finds no way back.
+    // and it finds no way back. `in_deadlock` walks holder edges only, so
+    // this times that walk, not the cycle search.
     let mut open = wait_chain(CYCLE);
     open.request(
         OwnerId(CYCLE),
@@ -93,6 +94,40 @@ fn bench_deadlock_check() {
     bench("locks/deadlock_walk_open_chain_85", || {
         open.in_deadlock(OwnerId(CYCLE - 1))
     });
+
+    // The shape measured on `contended`: a closed cycle of 30 holders
+    // in which every lock also queues two extra waiters ahead of the
+    // chain's own. The verdict walks the 30 holder edges; the search
+    // also descends into the extra waiters of 29 locks and reports an
+    // 88-member cycle.
+    let queued = queued_cycle(30);
+    let root = OwnerId(0);
+    assert!(queued.in_deadlock(root), "the queued cycle must deadlock");
+    assert_eq!(queued.deadlock_cycle(root).len(), 88);
+    bench("locks/deadlock_verdict_queued_cycle_30", || {
+        queued.in_deadlock(root)
+    });
+    bench("locks/deadlock_cycle_queued_cycle_30", || {
+        queued.deadlock_cycle(root)
+    });
+}
+
+/// A closed wait cycle over `n` locks, owner `i` holding lock `i` and
+/// waiting for lock `i - 1` (owner 0 for lock `n - 1`), where each lock
+/// first queues two extra waiters that hold nothing.
+fn queued_cycle(n: u64) -> LockTable {
+    let mut table = LockTable::new();
+    for i in 0..n {
+        table.request(OwnerId(i), LockId(i as u32), LockMode::Exclusive);
+    }
+    for i in 0..n {
+        let lock = LockId(((i + n - 1) % n) as u32);
+        for extra in [n + 2 * i, n + 2 * i + 1] {
+            table.request(OwnerId(extra), lock, LockMode::Exclusive);
+        }
+        table.request(OwnerId(i), lock, LockMode::Exclusive);
+    }
+    table
 }
 
 fn bench_force_acquire() {

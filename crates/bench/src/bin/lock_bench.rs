@@ -15,9 +15,10 @@
 //!   through private locks; no queues ever form.
 //! * `high/request_release_all` — 64 owners churning over 8 hot locks,
 //!   issuing requests and `release_all` exactly as the simulator does:
-//!   every blocked request is followed by the deadlock probe
-//!   (`deadlock_cycle`) that `HybridSystem::break_deadlocks` runs, with
-//!   the requester aborted when a cycle is found. In the simulator a
+//!   every blocked request is followed by the deadlock verdict
+//!   (`in_deadlock`) that `HybridSystem::break_deadlocks` asks for under
+//!   the default victim rule, with the requester aborted when it is
+//!   deadlocked. In the simulator a
 //!   queued request *never* occurs without this probe, so this is the
 //!   request/release throughput the event loop actually sees.
 //! * `high/request_release_raw` — the same churn with the probes
@@ -46,6 +47,7 @@ use hls_lockmgr::{LockId, LockMode, LockTable, OwnerId, RequestOutcome};
 trait Table: Default {
     fn request(&mut self, owner: OwnerId, lock: LockId, mode: LockMode) -> RequestOutcome;
     fn release_all(&mut self, owner: OwnerId) -> usize;
+    fn in_deadlock(&self, owner: OwnerId) -> bool;
     fn deadlock_cycle(&self, owner: OwnerId) -> Vec<OwnerId>;
     fn waiter_count(&self) -> usize;
 }
@@ -56,6 +58,9 @@ impl Table for LockTable {
     }
     fn release_all(&mut self, owner: OwnerId) -> usize {
         LockTable::release_all(self, owner).len()
+    }
+    fn in_deadlock(&self, owner: OwnerId) -> bool {
+        LockTable::in_deadlock(self, owner)
     }
     fn deadlock_cycle(&self, owner: OwnerId) -> Vec<OwnerId> {
         LockTable::deadlock_cycle(self, owner)
@@ -71,6 +76,9 @@ impl Table for ReferenceLockTable {
     }
     fn release_all(&mut self, owner: OwnerId) -> usize {
         ReferenceLockTable::release_all(self, owner).len()
+    }
+    fn in_deadlock(&self, owner: OwnerId) -> bool {
+        ReferenceLockTable::in_deadlock(self, owner)
     }
     fn deadlock_cycle(&self, owner: OwnerId) -> Vec<OwnerId> {
         ReferenceLockTable::deadlock_cycle(self, owner)
@@ -107,8 +115,8 @@ fn low_contention<T: Table>(table: &mut T, rounds: usize) -> u64 {
 /// Contended churn over a long-lived table: 64 owners, 8 hot locks.
 /// A waiting (or lock-saturated) owner releases everything when next
 /// scheduled — the abort/commit pattern — so queues continuously build
-/// and drain. `probe_deadlocks` adds the simulator's post-block cycle
-/// probe. Deterministic: both implementations see the same schedule and
+/// and drain. `probe_deadlocks` adds the simulator's post-block
+/// deadlock verdict. Deterministic: both implementations see the same schedule and
 /// (by the differential suite) make the same decisions.
 fn high_contention<T: Table>(table: &mut T, steps: usize, probe_deadlocks: bool) -> u64 {
     const N_OWNERS: u64 = 64;
@@ -137,7 +145,7 @@ fn high_contention<T: Table>(table: &mut T, steps: usize, probe_deadlocks: bool)
                         // Mirror `HybridSystem::break_deadlocks`: probe after
                         // every blocked request; on a cycle, abort the
                         // requester (the default victim policy).
-                        if !black_box(table.deadlock_cycle(OwnerId(owner))).is_empty() {
+                        if black_box(table.in_deadlock(OwnerId(owner))) {
                             black_box(table.release_all(OwnerId(owner)));
                             waiting[idx] = false;
                             held[idx] = 0;

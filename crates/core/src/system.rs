@@ -38,7 +38,7 @@ use hls_placement::{
 };
 use hls_shard::ShardMap;
 
-use crate::config::{ClassBMode, SystemConfig};
+use crate::config::{ClassBMode, DeadlockVictim, SystemConfig};
 use crate::dense::{JobSlab, MsgCounts, TxnTable, VecPool};
 use crate::error::ConfigError;
 use crate::metrics::{
@@ -1718,7 +1718,7 @@ impl HybridSystem {
     /// transaction is aborted and all locks held are released."
     fn break_deadlocks(&mut self, now: SimTime, requester: u64, loc: Locale) {
         loop {
-            let (cycle, timer) = {
+            let victim = {
                 let table = match loc {
                     Locale::Site(i) => &self.sites[i].locks,
                     Locale::Central(k) => &self.centrals[k].locks,
@@ -1727,13 +1727,20 @@ impl HybridSystem {
                     return; // granted while breaking a previous cycle
                 }
                 let timer = Timer::start_if(self.profiler.enabled());
-                (table.deadlock_cycle(OwnerId(requester)), timer)
+                if self.cfg.deadlock_victim == DeadlockVictim::Requester {
+                    // This rule reads only the verdict, never the cycle.
+                    let deadlocked = table.in_deadlock(OwnerId(requester));
+                    self.profiler.stop("lock.deadlock_scan", timer);
+                    deadlocked.then_some(requester)
+                } else {
+                    let cycle = table.deadlock_cycle(OwnerId(requester));
+                    self.profiler.stop("lock.deadlock_scan", timer);
+                    (!cycle.is_empty()).then(|| self.cycle_victim(&cycle, table))
+                }
             };
-            self.profiler.stop("lock.deadlock_scan", timer);
-            if cycle.is_empty() {
+            let Some(victim) = victim else {
                 return;
-            }
-            let victim = self.select_victim(&cycle, requester, loc);
+            };
             let grants = match loc {
                 Locale::Site(i) => self.sites[i].locks.release_all(OwnerId(victim)),
                 Locale::Central(k) => self.centrals[k].locks.release_all(OwnerId(victim)),
@@ -1793,25 +1800,16 @@ impl HybridSystem {
         }
     }
 
-    /// Applies the configured victim-selection policy to a cycle.
-    fn select_victim(&self, cycle: &[OwnerId], requester: u64, loc: Locale) -> u64 {
-        match self.cfg.deadlock_victim {
-            crate::config::DeadlockVictim::Requester => requester,
-            crate::config::DeadlockVictim::Youngest => {
-                cycle.iter().map(|o| o.0).max().expect("non-empty cycle")
-            }
-            crate::config::DeadlockVictim::FewestLocks => {
-                let table = match loc {
-                    Locale::Site(i) => &self.sites[i].locks,
-                    Locale::Central(k) => &self.centrals[k].locks,
-                };
-                cycle
-                    .iter()
-                    .map(|o| o.0)
-                    .min_by_key(|&o| (table.held_count(OwnerId(o)), u64::MAX - o))
-                    .expect("non-empty cycle")
-            }
-        }
+    /// Picks the victim among the members of `cycle`, a non-empty
+    /// wait-for cycle in `table`, under the Youngest or FewestLocks rule.
+    fn cycle_victim(&self, cycle: &[OwnerId], table: &LockTable) -> u64 {
+        let members = cycle.iter().map(|o| o.0);
+        let victim = if self.cfg.deadlock_victim == DeadlockVictim::Youngest {
+            members.max()
+        } else {
+            members.min_by_key(|&o| (table.held_count(OwnerId(o)), u64::MAX - o))
+        };
+        victim.expect("non-empty cycle")
     }
 
     /// Deterministic restart delay for a deadlock victim: up to

@@ -9,7 +9,7 @@
 //!    holds the owner's wait handle, its held locks in acquisition order
 //!    (backing [`LockTable::release_all`], [`LockTable::held_locks`] and
 //!    victim selection), a count of holder edges into it, and the
-//!    deadlock probe's visit stamp. A slot is recycled, with its held-list
+//!    deadlock probe's mark. A slot is recycled, with its held-list
 //!    allocation, once its owner neither holds nor waits, so the slot
 //!    array is sized by the owners live at once, not by the range of
 //!    owner ids.
@@ -22,12 +22,25 @@
 //!    and a waiter's node (hence its wait-for edges) is one array read
 //!    from its slot.
 //!
-//! [`LockTable::deadlock_cycle`] runs after every blocked request. It
-//! returns at once when no wait-for edge enters the probed owner, which
-//! the slot answers without a search: nobody queues behind the owner and
-//! no waiter has a holder edge to it. Otherwise it walks the pre-built
-//! edges depth-first, marking slots with a per-probe stamp, so a hop
-//! reads arrays and hashes nothing.
+//! The simulator probes for a deadlock after every blocked request, and
+//! the probe comes in two depths:
+//!
+//! - [`LockTable::in_deadlock`] is the exact yes/no verdict. It returns
+//!   at once when no wait-for edge enters the probed owner, which the
+//!   slot answers without a search: nobody queues behind the owner and
+//!   no waiter has a holder edge to it. Otherwise it walks **holder edges
+//!   only**. A queue edge from X to a waiter W ahead of it adds nothing,
+//!   since every blocker of W blocks X too or is X itself; the two
+//!   exceptions, the owner's own queued upgrade and the last edge back
+//!   from a waiter queued behind it, are settled before and during the
+//!   walk.
+//! - [`LockTable::deadlock_cycle`] reports the cycle's members for the
+//!   victim rules that choose among them. It asks for the verdict first
+//!   and only on a yes searches the full graph depth-first, queue edges
+//!   included, in the reference model's order.
+//!
+//! Both mark slots with per-probe stamps, so a hop reads arrays and
+//! hashes nothing.
 //!
 //! The two maps (lock → entry, owner → slot) use a Fibonacci-style
 //! multiplicative hasher ([`hls_sim::FxHasher`]) instead of SipHash — the
@@ -115,7 +128,8 @@ struct OwnerSlot {
     /// anyone queued behind my wait" this decides whether any wait-for
     /// edge enters the owner.
     holder_in: u32,
-    /// Stamp of the last deadlock probe that visited this slot.
+    /// The mark a deadlock probe last left here: one of that probe's
+    /// stamps.
     visit: Cell<u32>,
 }
 
@@ -336,13 +350,13 @@ pub struct LockTable {
     stats: LockStats,
     /// Whether operations also accumulate wall-clock time into `stats`.
     profiling: bool,
-    /// Stamp of the latest deadlock probe; slots carrying it were
-    /// visited by that probe.
+    /// The latest probe stamp; a slot marked with a stamp of the running
+    /// probe was reached by it.
     stamp: Cell<u32>,
-    /// Reusable DFS frames for [`LockTable::deadlock_cycle`]: (arena
-    /// handle of a visited waiter, blockers still to try). Interior
-    /// mutability keeps the probe `&self` and allocation-free; nothing
-    /// survives across calls.
+    /// Reusable depth-first frames for [`LockTable::in_deadlock`] and
+    /// [`LockTable::deadlock_cycle`]: (arena handle of a visited waiter,
+    /// edges still to try). Interior mutability keeps the probe `&self`
+    /// and allocation-free; nothing survives across calls.
     frames: RefCell<Vec<(u32, u32)>>,
 }
 
@@ -756,34 +770,91 @@ impl LockTable {
     /// a wait-for cycle through `owner` — i.e. a deadlock involving `owner`.
     ///
     /// Edges run from a waiting transaction to every holder of the lock it
-    /// waits for, and to earlier waiters in the same queue (which will hold
-    /// the lock before it).
+    /// waits for (holder edges), and to earlier waiters in the same queue,
+    /// which will hold the lock before it (queue edges).
+    ///
+    /// The verdict is exact but follows holder edges only. If X queues
+    /// behind W, every blocker of W blocks X too, or is X itself, so a
+    /// shortest cycle through `owner` can skip every queue edge but two:
+    /// `owner`'s own first edge, needed only when it queues an upgrade of
+    /// a lock it holds behind another waiter (that waiter's holder edge
+    /// closes the cycle at once), and the last edge, from a waiter queued
+    /// behind `owner`. So the test returns at once when no wait-for edge
+    /// enters `owner` (nobody queues behind it and no waiter has a holder
+    /// edge to it), answers the upgrade case directly, and otherwise
+    /// walks holder edges from `owner`'s holders until it meets `owner`
+    /// or a waiter queued behind it. Slots are marked with per-probe
+    /// stamps, so a hop reads arrays and hashes nothing.
     #[must_use]
     pub fn in_deadlock(&self, owner: OwnerId) -> bool {
-        !self.deadlock_cycle(owner).is_empty()
+        let Some(&root) = self.slot_of.get(&owner) else {
+            return false;
+        };
+        let r = &self.slots[root as usize];
+        if r.wait == NIL {
+            return false;
+        }
+        let node = &self.arena[r.wait as usize];
+        if r.holder_in == 0 && node.next == NIL {
+            return false;
+        }
+        if node.prev != NIL && r.held.contains(&node.lock) {
+            return true;
+        }
+        // Two fresh stamps: `back` marks the owners whose edge leads back
+        // into `owner` (itself and the waiters queued behind it), `seen`
+        // the waiters the walk has entered.
+        let back = self.next_stamp();
+        let seen = self.next_stamp();
+        r.visit.set(back);
+        let mut cur = node.next;
+        while cur != NIL {
+            let behind = &self.arena[cur as usize];
+            self.slots[behind.slot as usize].visit.set(back);
+            cur = behind.next;
+        }
+        // Frames as in `deadlock_cycle`, counting holder edges only.
+        let mut frames = self.frames.borrow_mut();
+        frames.clear();
+        frames.push((r.wait, node.n_holder));
+        while let Some((h, left)) = frames.last_mut() {
+            if *left == 0 {
+                frames.pop();
+                continue;
+            }
+            *left -= 1;
+            let b = &self.slots[self.arena[*h as usize].blockers[*left as usize] as usize];
+            let mark = b.visit.get();
+            if mark == back {
+                return true;
+            }
+            // A blocker that holds but does not wait has no edges.
+            if mark != seen && b.wait != NIL {
+                b.visit.set(seen);
+                frames.push((b.wait, self.arena[b.wait as usize].n_holder));
+            }
+        }
+        false
     }
 
     /// Returns the members of a wait-for cycle through `owner` (the victim
     /// candidates), or an empty vector if `owner` is not deadlocked.
     ///
-    /// A cycle can only close through a wait-for edge into `owner`, so
-    /// the probe returns at once when there is none: nobody queues behind
-    /// `owner` and no waiter has a holder edge to it. Otherwise the cycle
-    /// is found by depth-first search from `owner` along the pre-built
-    /// wait-for edges; every returned member is currently waiting (or is
-    /// `owner` itself, which is about to wait). The search visits the
-    /// blockers of each owner last-first, as the reference model's stack
-    /// does, so the reported cycle — members and order, which victim
-    /// selection depends on — is identical to the reference model's.
+    /// Returns empty unless [`LockTable::in_deadlock`] finds a cycle.
+    /// Otherwise the cycle is found by depth-first search from `owner`
+    /// along the pre-built wait-for edges, queue edges included; every
+    /// returned member is currently waiting (or is `owner` itself, which
+    /// is about to wait). The search visits the blockers of each owner
+    /// last-first, as the reference model's stack does, so the reported
+    /// cycle — members and order, which victim selection depends on — is
+    /// identical to the reference model's.
     #[must_use]
     pub fn deadlock_cycle(&self, owner: OwnerId) -> Vec<OwnerId> {
-        let Some(&root) = self.slot_of.get(&owner) else {
-            return Vec::new();
-        };
-        let r = &self.slots[root as usize];
-        if r.wait == NIL || (r.holder_in == 0 && self.arena[r.wait as usize].next == NIL) {
+        if !self.in_deadlock(owner) {
             return Vec::new();
         }
+        let root = self.slot_of[&owner];
+        let r = &self.slots[root as usize];
         let stamp = self.next_stamp();
         // The frames hold the path from `owner` to the current waiter,
         // each with the number of its blockers not yet tried. The buffer
@@ -825,8 +896,8 @@ impl LockTable {
         }
     }
 
-    /// Advances the probe stamp. Slots carry the stamp of the last probe
-    /// that visited them, so a fresh stamp unmarks every slot at once;
+    /// Advances the probe stamp. Slots carry a stamp of the last probe
+    /// that marked them, so a fresh stamp unmarks every slot at once;
     /// only when the counter wraps are the marks cleared by hand.
     fn next_stamp(&self) -> u32 {
         let mut stamp = self.stamp.get().wrapping_add(1);
@@ -1475,7 +1546,9 @@ mod tests {
         for _ in 0..4 {
             assert_eq!(t.deadlock_cycle(o(2)), vec![o(2), o(1)]);
         }
-        assert_eq!(t.stamp.get(), 3, "the stamp skips 0 when it wraps");
+        // Each call takes three stamps, two for the verdict and one for
+        // the search: u32::MAX, then 1 to 11.
+        assert_eq!(t.stamp.get(), 11, "the stamp skips 0 when it wraps");
     }
 
     #[test]

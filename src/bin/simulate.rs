@@ -599,7 +599,7 @@ fn run_replicated(args: &Args, cfg: &SystemConfig, spec: RouterSpec) -> ExitCode
     let (runs, target_met) = match outcome {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("invalid configuration: {e}");
+            eprintln!("{e}");
             return ExitCode::FAILURE;
         }
     };
@@ -759,7 +759,7 @@ fn main() -> ExitCode {
         let system = match HybridSystem::new(cfg, spec) {
             Ok(s) => s,
             Err(e) => {
-                eprintln!("invalid configuration: {e}");
+                eprintln!("{e}");
                 return ExitCode::FAILURE;
             }
         };
@@ -773,7 +773,7 @@ fn main() -> ExitCode {
         match run_simulation_threads(cfg, spec, args.sim_threads) {
             Ok(m) => m,
             Err(e) => {
-                eprintln!("invalid configuration: {e}");
+                eprintln!("{e}");
                 return ExitCode::FAILURE;
             }
         }
