@@ -4,8 +4,8 @@
 //! scale_bench [--smoke] [--out PATH]
 //! ```
 //!
-//! Where `sim_bench` measures the event loop at the paper's scale, this
-//! benchmark measures how the simulator — and the protocol it models —
+//! Where perfbench's `paper` workload measures the event loop at the
+//! paper's scale, this benchmark measures how the simulator — and the protocol it models —
 //! holds up as the topology grows: every combination of
 //! N ∈ {10, 100, 1000} sites and K ∈ {1, 2, 4, 8} central shards is run
 //! with the per-site arrival rate held at the paper's operating point and

@@ -269,29 +269,6 @@ impl SystemConfig {
             .map(DelayMatrix::site_central_delays)
     }
 
-    /// Whether every site↔central link has the same one-way delay
-    /// (trivially true with no topology configured). The speculative
-    /// window executor requires this: its window bound is the smallest
-    /// link delay, which only bounds *every* cross-partition latency
-    /// when the links agree.
-    #[must_use]
-    pub fn uniform_link_delays(&self) -> bool {
-        match self.site_link_delays() {
-            None => true,
-            Some(d) => d.iter().all(|&x| x == d[0]),
-        }
-    }
-
-    /// The smallest one-way site↔central link delay in the topology
-    /// (`params.comm_delay` for the uniform star).
-    #[must_use]
-    pub fn min_link_delay(&self) -> f64 {
-        match self.site_link_delays() {
-            None => self.params.comm_delay,
-            Some(d) => d.iter().copied().fold(f64::INFINITY, f64::min),
-        }
-    }
-
     /// The largest one-way site↔central link delay in the topology
     /// (`params.comm_delay` for the uniform star).
     #[must_use]
@@ -783,8 +760,6 @@ mod tests {
     fn topology_builders_and_helpers() {
         let base = SystemConfig::paper_default(); // 10 sites, comm 0.2
         assert!(base.site_link_delays().is_none());
-        assert!(base.uniform_link_delays());
-        assert_eq!(base.min_link_delay(), 0.2);
         assert_eq!(base.max_link_delay(), 0.2);
         assert_eq!(base.site_mips_of(3), base.params.local_mips);
         assert_eq!(base.central_mips_of(0), base.params.central_mips);
@@ -794,8 +769,6 @@ mod tests {
             .with_islands(IslandSpec::contiguous(10, 2, 0, 0.05, 0.5))
             .with_site_mips(vec![2.0e6; 10]);
         assert!(cfg.validate().is_ok());
-        assert!(!cfg.uniform_link_delays());
-        assert_eq!(cfg.min_link_delay(), 0.05);
         assert_eq!(cfg.max_link_delay(), 0.5);
         let d = cfg.site_link_delays().expect("islands imply delays");
         assert_eq!(d[0], 0.05); // island 0 hosts the central complex
@@ -807,7 +780,6 @@ mod tests {
             .clone()
             .with_islands(IslandSpec::contiguous(10, 1, 0, 0.2, 0.2));
         assert!(cfg.validate().is_ok());
-        assert!(cfg.uniform_link_delays());
         assert_eq!(cfg.site_link_delays(), Some(vec![0.2; 10]));
 
         // Explicit matrices feed the same helpers.

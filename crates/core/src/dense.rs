@@ -1,4 +1,4 @@
-//! Dense storage for the simulator's per-event hot state (ISSUE 5).
+//! Dense storage for the simulator's per-event hot state.
 //!
 //! The event loop used to route every lookup through SipHash
 //! `HashMap<u64, _>` maps: `txns` (large `Txn` values moved around by
@@ -25,125 +25,74 @@
 //! * [`MsgCounts`] — per-kind message counters as a fixed array indexed
 //!   by [`Msg::kind_index`], replacing a `HashMap<&'static str, u64>`
 //!   probed on every send.
-//!
-//! Each structure also carries a `reference()` variant that vendors the
-//! pre-overhaul representation verbatim — SipHash maps, sequential job
-//! ids with a parallel key map, per-event allocation, hashed message
-//! counters. `HybridSystem::use_reference_hot_path` switches a system
-//! onto those variants (plus the reference event queue) so `sim_bench`
-//! can measure old-vs-new whole-run throughput inside one binary, the
-//! same pattern as `lock_bench`. Both variants make identical decisions
-//! — the bench asserts bit-identical `RunMetrics` on every run.
-
-use std::collections::HashMap;
 
 use hls_sim::FxHashMap;
 
 use crate::msg::Msg;
 use crate::txn::Txn;
 
-/// In-flight transactions, indexed by transaction id.
-///
-/// `Dense` is the production representation: a generational slab whose
-/// only hashed structure is the id → slot index with 12-byte entries,
-/// not whole `Txn`s. `Map` is the pre-overhaul SipHash map, kept for
-/// old-vs-new benchmarking.
-#[derive(Debug, Clone)]
-pub(crate) enum TxnTable {
-    Dense {
-        slots: Vec<Option<Txn>>,
-        free: Vec<u32>,
-        by_id: FxHashMap<u64, u32>,
-    },
-    Map(HashMap<u64, Txn>),
+/// In-flight transactions, indexed by transaction id: a generational
+/// slab whose only hashed structure is the id → slot index with 12-byte
+/// entries, not whole `Txn`s.
+#[derive(Debug)]
+pub(crate) struct TxnTable {
+    slots: Vec<Option<Txn>>,
+    free: Vec<u32>,
+    by_id: FxHashMap<u64, u32>,
 }
 
 impl TxnTable {
     pub(crate) fn new() -> Self {
-        TxnTable::Dense {
+        TxnTable {
             slots: Vec::new(),
             free: Vec::new(),
             by_id: FxHashMap::default(),
         }
     }
 
-    /// The pre-overhaul representation, for `sim_bench`'s reference path.
-    pub(crate) fn reference() -> Self {
-        TxnTable::Map(HashMap::new())
-    }
-
     /// Number of in-flight transactions.
     pub(crate) fn len(&self) -> usize {
-        match self {
-            TxnTable::Dense { by_id, .. } => by_id.len(),
-            TxnTable::Map(m) => m.len(),
-        }
+        self.by_id.len()
     }
 
     pub(crate) fn insert(&mut self, id: u64, txn: Txn) {
         debug_assert_eq!(txn.id, id, "txn stored under a foreign id");
-        match self {
-            TxnTable::Dense { slots, free, by_id } => {
-                let slot = match free.pop() {
-                    Some(s) => {
-                        debug_assert!(slots[s as usize].is_none());
-                        slots[s as usize] = Some(txn);
-                        s
-                    }
-                    None => {
-                        let s = slots.len() as u32;
-                        slots.push(Some(txn));
-                        s
-                    }
-                };
-                let prev = by_id.insert(id, slot);
-                debug_assert!(prev.is_none(), "transaction {id} inserted twice");
+        let slot = match self.free.pop() {
+            Some(s) => {
+                debug_assert!(self.slots[s as usize].is_none());
+                self.slots[s as usize] = Some(txn);
+                s
             }
-            TxnTable::Map(m) => {
-                let prev = m.insert(id, txn);
-                debug_assert!(prev.is_none(), "transaction {id} inserted twice");
+            None => {
+                let s = self.slots.len() as u32;
+                self.slots.push(Some(txn));
+                s
             }
-        }
+        };
+        let prev = self.by_id.insert(id, slot);
+        debug_assert!(prev.is_none(), "transaction {id} inserted twice");
     }
 
     pub(crate) fn remove(&mut self, id: u64) -> Option<Txn> {
-        match self {
-            TxnTable::Dense { slots, free, by_id } => {
-                let slot = by_id.remove(&id)?;
-                free.push(slot);
-                let txn = slots[slot as usize].take();
-                debug_assert!(txn.is_some(), "index pointed at an empty slot");
-                txn
-            }
-            TxnTable::Map(m) => m.remove(&id),
-        }
+        let slot = self.by_id.remove(&id)?;
+        self.free.push(slot);
+        let txn = self.slots[slot as usize].take();
+        debug_assert!(txn.is_some(), "index pointed at an empty slot");
+        txn
     }
 
     pub(crate) fn contains(&self, id: u64) -> bool {
-        match self {
-            TxnTable::Dense { by_id, .. } => by_id.contains_key(&id),
-            TxnTable::Map(m) => m.contains_key(&id),
-        }
+        self.by_id.contains_key(&id)
     }
 
     pub(crate) fn get(&self, id: u64) -> Option<&Txn> {
-        match self {
-            TxnTable::Dense { slots, by_id, .. } => {
-                let &slot = by_id.get(&id)?;
-                slots[slot as usize].as_ref()
-            }
-            TxnTable::Map(m) => m.get(&id),
-        }
+        let &slot = self.by_id.get(&id)?;
+        self.slots[slot as usize].as_ref()
     }
 
     pub(crate) fn get_mut(&mut self, id: u64) -> Option<&mut Txn> {
-        match self {
-            TxnTable::Dense { slots, by_id, .. } => {
-                let &slot = by_id.get(&id)?;
-                slots[slot as usize].as_mut()
-            }
-            TxnTable::Map(m) => m.get_mut(&id),
-        }
+        let &slot = self.by_id.get(&id)?;
+        self.slots[slot as usize].as_mut()
     }
 
     /// Estimated resident bytes of the table's backing storage (slot
@@ -151,36 +100,22 @@ impl TxnTable {
     /// memory report. An estimate — hash-map overhead is approximated at
     /// 1.5× the entry payload.
     pub(crate) fn approx_bytes(&self) -> usize {
-        let entry = std::mem::size_of::<Option<Txn>>();
-        match self {
-            TxnTable::Dense { slots, free, by_id } => {
-                slots.capacity() * entry
-                    + free.capacity() * std::mem::size_of::<u32>()
-                    + by_id.len() * 18
-            }
-            TxnTable::Map(m) => m.len() * (entry + 12),
-        }
+        self.slots.capacity() * std::mem::size_of::<Option<Txn>>()
+            + self.free.capacity() * std::mem::size_of::<u32>()
+            + self.by_id.len() * 18
     }
 
-    /// Iterates over in-flight transactions in storage order (slot order
-    /// for `Dense`, hash order for `Map`). Deterministic for a given
-    /// event history, but *not* id order — callers that let iteration
-    /// order reach simulation state must sort (the crash handlers
-    /// collect victim ids and sort before killing). Only used on cold
-    /// fault paths, hence the box.
-    pub(crate) fn values(&self) -> Box<dyn Iterator<Item = &Txn> + '_> {
-        match self {
-            TxnTable::Dense { slots, .. } => Box::new(slots.iter().filter_map(Option::as_ref)),
-            TxnTable::Map(m) => Box::new(m.values()),
-        }
+    /// Iterates over in-flight transactions in slot order. Deterministic
+    /// for a given event history, but *not* id order — callers that let
+    /// iteration order reach simulation state must sort (the crash
+    /// handlers collect victim ids and sort before killing).
+    pub(crate) fn values(&self) -> impl Iterator<Item = &Txn> + '_ {
+        self.slots.iter().filter_map(Option::as_ref)
     }
 
     /// See [`TxnTable::values`] for ordering caveats.
-    pub(crate) fn values_mut(&mut self) -> Box<dyn Iterator<Item = &mut Txn> + '_> {
-        match self {
-            TxnTable::Dense { slots, .. } => Box::new(slots.iter_mut().filter_map(Option::as_mut)),
-            TxnTable::Map(m) => Box::new(m.values_mut()),
-        }
+    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut Txn> + '_ {
+        self.slots.iter_mut().filter_map(Option::as_mut)
     }
 }
 
@@ -194,29 +129,20 @@ impl std::ops::Index<u64> for TxnTable {
 
 /// In-flight CPU jobs with their pending completion-event keys.
 ///
-/// `Slab` is the production representation: a job id is
-/// `(seq << 32) | slot` — the low half locates the slot without a map,
-/// the high half is a monotone submission sequence, so ids are unique
-/// across slot reuse and sort in submission order (both id schemes do,
-/// which is what the crash-drain sort relies on). `Map` vendors the
-/// pre-overhaul pair of SipHash maps over sequential ids. `K` is the
-/// work-item payload, `Y` the pending completion-event key.
-#[derive(Debug, Clone)]
-pub(crate) enum JobSlab<K, Y> {
-    Slab {
-        slots: Vec<JobSlot<K, Y>>,
-        free: Vec<u32>,
-        next_seq: u32,
-    },
-    Map {
-        kinds: HashMap<u64, K>,
-        keys: HashMap<u64, Y>,
-        next: u64,
-    },
+/// A job id is `(seq << 32) | slot` — the low half locates the slot
+/// without a map, the high half is a monotone submission sequence, so
+/// ids are unique across slot reuse and sort in submission order (which
+/// is what the crash-drain sort relies on). `K` is the work-item
+/// payload, `Y` the pending completion-event key.
+#[derive(Debug)]
+pub(crate) struct JobSlab<K, Y> {
+    slots: Vec<JobSlot<K, Y>>,
+    free: Vec<u32>,
+    next_seq: u32,
 }
 
-#[derive(Debug, Clone)]
-pub(crate) struct JobSlot<K, Y> {
+#[derive(Debug)]
+struct JobSlot<K, Y> {
     /// Full composite id of the occupant (stale-id detection).
     id: u64,
     kind: Option<K>,
@@ -227,57 +153,34 @@ pub(crate) struct JobSlot<K, Y> {
 
 impl<K, Y> JobSlab<K, Y> {
     pub(crate) fn new() -> Self {
-        JobSlab::Slab {
+        JobSlab {
             slots: Vec::new(),
             free: Vec::new(),
             next_seq: 1,
         }
     }
 
-    /// The pre-overhaul representation, for `sim_bench`'s reference path.
-    pub(crate) fn reference() -> Self {
-        JobSlab::Map {
-            kinds: HashMap::new(),
-            keys: HashMap::new(),
-            next: 1,
-        }
-    }
-
     /// Registers a job and returns its id.
     pub(crate) fn insert(&mut self, kind: K) -> u64 {
-        match self {
-            JobSlab::Slab {
-                slots,
-                free,
-                next_seq,
-            } => {
-                let seq = *next_seq;
-                *next_seq = next_seq.checked_add(1).expect("job sequence exhausted");
-                match free.pop() {
-                    Some(slot) => {
-                        let id = (u64::from(seq) << 32) | u64::from(slot);
-                        let s = &mut slots[slot as usize];
-                        debug_assert!(s.kind.is_none() && s.key.is_none());
-                        s.id = id;
-                        s.kind = Some(kind);
-                        id
-                    }
-                    None => {
-                        let slot = slots.len() as u32;
-                        let id = (u64::from(seq) << 32) | u64::from(slot);
-                        slots.push(JobSlot {
-                            id,
-                            kind: Some(kind),
-                            key: None,
-                        });
-                        id
-                    }
-                }
+        let seq = self.next_seq;
+        self.next_seq = seq.checked_add(1).expect("job sequence exhausted");
+        match self.free.pop() {
+            Some(slot) => {
+                let id = (u64::from(seq) << 32) | u64::from(slot);
+                let s = &mut self.slots[slot as usize];
+                debug_assert!(s.kind.is_none() && s.key.is_none());
+                s.id = id;
+                s.kind = Some(kind);
+                id
             }
-            JobSlab::Map { kinds, next, .. } => {
-                let id = *next;
-                *next += 1;
-                kinds.insert(id, kind);
+            None => {
+                let slot = self.slots.len() as u32;
+                let id = (u64::from(seq) << 32) | u64::from(slot);
+                self.slots.push(JobSlot {
+                    id,
+                    kind: Some(kind),
+                    key: None,
+                });
                 id
             }
         }
@@ -286,80 +189,50 @@ impl<K, Y> JobSlab<K, Y> {
     /// Attaches the completion-event cancellation key of a job entering
     /// service.
     pub(crate) fn set_key(&mut self, id: u64, key: Y) {
-        match self {
-            JobSlab::Slab { slots, .. } => {
-                let idx = slab_index(slots, id).expect("key for unknown job");
-                debug_assert!(slots[idx].key.is_none(), "job already has a key");
-                slots[idx].key = Some(key);
-            }
-            JobSlab::Map { keys, .. } => {
-                let prev = keys.insert(id, key);
-                debug_assert!(prev.is_none(), "job already has a key");
-            }
-        }
+        let idx = self.index_of(id).expect("key for unknown job");
+        debug_assert!(self.slots[idx].key.is_none(), "job already has a key");
+        self.slots[idx].key = Some(key);
     }
 
     /// Detaches a job's pending completion key, if any — used both when
     /// the completion fires (key consumed) and when a crash needs to
     /// cancel it.
     pub(crate) fn take_key(&mut self, id: u64) -> Option<Y> {
-        match self {
-            JobSlab::Slab { slots, .. } => {
-                let idx = slab_index(slots, id)?;
-                slots[idx].key.take()
-            }
-            JobSlab::Map { keys, .. } => keys.remove(&id),
-        }
+        let idx = self.index_of(id)?;
+        self.slots[idx].key.take()
     }
 
     /// Estimated resident bytes of the slab's backing storage, for the
     /// topology-scaling memory report.
     pub(crate) fn approx_bytes(&self) -> usize {
-        let entry = std::mem::size_of::<JobSlot<K, Y>>();
-        match self {
-            JobSlab::Slab { slots, free, .. } => {
-                slots.capacity() * entry + free.capacity() * std::mem::size_of::<u32>()
-            }
-            JobSlab::Map { kinds, keys, .. } => kinds.len() * (entry + 12) + keys.len() * 24,
-        }
+        self.slots.capacity() * std::mem::size_of::<JobSlot<K, Y>>()
+            + self.free.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Removes a job, returning its work item. `None` for unknown ids.
     pub(crate) fn remove(&mut self, id: u64) -> Option<K> {
-        match self {
-            JobSlab::Slab { slots, free, .. } => {
-                let idx = slab_index(slots, id)?;
-                debug_assert!(
-                    slots[idx].key.is_none(),
-                    "job removed with a live completion key"
-                );
-                free.push(idx as u32);
-                slots[idx].kind.take()
-            }
-            JobSlab::Map { kinds, keys, .. } => {
-                debug_assert!(
-                    !keys.contains_key(&id),
-                    "job removed with a live completion key"
-                );
-                kinds.remove(&id)
-            }
-        }
+        let idx = self.index_of(id)?;
+        debug_assert!(
+            self.slots[idx].key.is_none(),
+            "job removed with a live completion key"
+        );
+        self.free.push(idx as u32);
+        self.slots[idx].kind.take()
     }
-}
 
-fn slab_index<K, Y>(slots: &[JobSlot<K, Y>], id: u64) -> Option<usize> {
-    let idx = (id & 0xFFFF_FFFF) as usize;
-    (idx < slots.len() && slots[idx].id == id && slots[idx].kind.is_some()).then_some(idx)
+    fn index_of(&self, id: u64) -> Option<usize> {
+        let idx = (id & 0xFFFF_FFFF) as usize;
+        let slot = self.slots.get(idx)?;
+        (slot.id == id && slot.kind.is_some()).then_some(idx)
+    }
 }
 
 /// Bounded free list of cleared `Vec<T>`s. `take` hands out a recycled
 /// vector (empty, with its old capacity) or a fresh one; `put` clears
-/// and shelves it for reuse. A disabled pool (`reference()`) restores
-/// the pre-overhaul behaviour: every take allocates, every put drops.
-#[derive(Debug, Clone)]
+/// and shelves it for reuse.
+#[derive(Debug)]
 pub(crate) struct VecPool<T> {
     spare: Vec<Vec<T>>,
-    enabled: bool,
 }
 
 /// Per-pool retention cap: enough for every in-flight message of one
@@ -368,18 +241,7 @@ const POOL_CAP: usize = 64;
 
 impl<T> VecPool<T> {
     pub(crate) fn new() -> Self {
-        VecPool {
-            spare: Vec::new(),
-            enabled: true,
-        }
-    }
-
-    /// A pass-through pool, for `sim_bench`'s reference path.
-    pub(crate) fn reference() -> Self {
-        VecPool {
-            spare: Vec::new(),
-            enabled: false,
-        }
+        VecPool { spare: Vec::new() }
     }
 
     pub(crate) fn take(&mut self) -> Vec<T> {
@@ -387,65 +249,36 @@ impl<T> VecPool<T> {
     }
 
     pub(crate) fn put(&mut self, mut v: Vec<T>) {
-        if self.enabled && self.spare.len() < POOL_CAP && v.capacity() > 0 {
+        if self.spare.len() < POOL_CAP && v.capacity() > 0 {
             v.clear();
             self.spare.push(v);
         }
     }
 }
 
-/// Per-kind message counters, bumped on every `send`.
-#[derive(Debug, Clone)]
-pub(crate) enum MsgCounts {
-    /// Fixed array indexed by [`Msg::kind_index`] — no hashing.
-    Array([u64; Msg::KIND_COUNT]),
-    /// The pre-overhaul hashed counter, for `sim_bench`'s reference path.
-    Map(HashMap<&'static str, u64>),
-}
+/// Per-kind message counters, bumped on every `send`: a fixed array
+/// indexed by [`Msg::kind_index`] — no hashing.
+#[derive(Debug)]
+pub(crate) struct MsgCounts([u64; Msg::KIND_COUNT]);
 
 impl MsgCounts {
     pub(crate) fn new() -> Self {
-        MsgCounts::Array([0; Msg::KIND_COUNT])
-    }
-
-    pub(crate) fn reference() -> Self {
-        MsgCounts::Map(HashMap::new())
+        MsgCounts([0; Msg::KIND_COUNT])
     }
 
     pub(crate) fn record(&mut self, msg: &Msg) {
-        match self {
-            MsgCounts::Array(counts) => counts[msg.kind_index()] += 1,
-            MsgCounts::Map(m) => *m.entry(msg.kind()).or_insert(0) += 1,
-        }
-    }
-
-    /// Adds another counter set's totals into this one — the speculative
-    /// executor merges each partition worker's counts at finalize (every
-    /// send is recorded by exactly one worker, so the sum matches the
-    /// serial run). The reference representation never runs sharded.
-    pub(crate) fn absorb(&mut self, other: &MsgCounts) {
-        match (self, other) {
-            (MsgCounts::Array(into), MsgCounts::Array(from)) => {
-                for (a, b) in into.iter_mut().zip(from.iter()) {
-                    *a += b;
-                }
-            }
-            _ => panic!("message-count merge requires the dense representation"),
-        }
+        self.0[msg.kind_index()] += 1;
     }
 
     /// Kinds actually seen, sorted by name — exactly the shape the
     /// metrics have always reported.
     pub(crate) fn sorted(&self) -> Vec<(String, u64)> {
-        let mut by_kind: Vec<(String, u64)> = match self {
-            MsgCounts::Array(counts) => Msg::KIND_NAMES
-                .iter()
-                .zip(counts.iter())
-                .filter(|&(_, &v)| v > 0)
-                .map(|(&k, &v)| (k.to_string(), v))
-                .collect(),
-            MsgCounts::Map(m) => m.iter().map(|(&k, &v)| (k.to_string(), v)).collect(),
-        };
+        let mut by_kind: Vec<(String, u64)> = Msg::KIND_NAMES
+            .iter()
+            .zip(self.0.iter())
+            .filter(|&(_, &v)| v > 0)
+            .map(|(&k, &v)| (k.to_string(), v))
+            .collect();
         by_kind.sort();
         by_kind
     }
@@ -457,17 +290,16 @@ mod tests {
 
     #[test]
     fn job_ids_sort_in_submission_order_across_reuse() {
-        for mut slab in [JobSlab::<&str, ()>::new(), JobSlab::reference()] {
-            let a = slab.insert("a");
-            let b = slab.insert("b");
-            assert_eq!(slab.remove(a), Some("a"));
-            let c = slab.insert("c"); // reuses a's slot in slab mode
-            let d = slab.insert("d");
-            assert!(a < b && b < c && c < d, "ids must sort by submission");
-            assert_eq!(slab.remove(b), Some("b"));
-            assert_eq!(slab.remove(c), Some("c"));
-            assert_eq!(slab.remove(d), Some("d"));
-        }
+        let mut slab = JobSlab::<&str, ()>::new();
+        let a = slab.insert("a");
+        let b = slab.insert("b");
+        assert_eq!(slab.remove(a), Some("a"));
+        let c = slab.insert("c"); // reuses a's slot
+        let d = slab.insert("d");
+        assert!(a < b && b < c && c < d, "ids must sort by submission");
+        assert_eq!(slab.remove(b), Some("b"));
+        assert_eq!(slab.remove(c), Some("c"));
+        assert_eq!(slab.remove(d), Some("d"));
     }
 
     #[test]
@@ -483,13 +315,12 @@ mod tests {
 
     #[test]
     fn job_keys_attach_and_detach() {
-        for mut slab in [JobSlab::<&str, u64>::new(), JobSlab::reference()] {
-            let a = slab.insert("svc");
-            slab.set_key(a, 99);
-            assert_eq!(slab.take_key(a), Some(99));
-            assert_eq!(slab.take_key(a), None);
-            assert_eq!(slab.remove(a), Some("svc"));
-        }
+        let mut slab = JobSlab::<&str, u64>::new();
+        let a = slab.insert("svc");
+        slab.set_key(a, 99);
+        assert_eq!(slab.take_key(a), Some(99));
+        assert_eq!(slab.take_key(a), None);
+        assert_eq!(slab.remove(a), Some("svc"));
     }
 
     #[test]
@@ -512,30 +343,17 @@ mod tests {
     }
 
     #[test]
-    fn disabled_pool_is_pass_through() {
-        let mut pool: VecPool<u64> = VecPool::reference();
-        let mut v = pool.take();
-        v.extend(0..100);
-        pool.put(v);
-        assert_eq!(pool.take().capacity(), 0, "reference pool must not retain");
-    }
-
-    #[test]
-    fn msg_counts_variants_agree() {
-        let msgs = [
+    fn msg_counts_report_seen_kinds_by_name() {
+        let mut counts = MsgCounts::new();
+        for m in [
             Msg::Reply { txn: 1 },
             Msg::ShipTxn { txn: 2 },
             Msg::Reply { txn: 3 },
-        ];
-        let mut dense = MsgCounts::new();
-        let mut reference = MsgCounts::reference();
-        for m in &msgs {
-            dense.record(m);
-            reference.record(m);
+        ] {
+            counts.record(&m);
         }
-        assert_eq!(dense.sorted(), reference.sorted());
         assert_eq!(
-            dense.sorted(),
+            counts.sorted(),
             vec![("reply".to_string(), 2), ("ship".to_string(), 1)]
         );
     }

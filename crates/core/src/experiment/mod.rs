@@ -167,38 +167,6 @@ pub fn replicate_jobs(
     })
 }
 
-/// [`replicate_jobs`] with each replication itself executed by the
-/// speculative window executor on `sim_threads` worker threads (see
-/// [`run_simulation_threads`](crate::run_simulation_threads)).
-///
-/// The two axes compose: `jobs` fans independent replications across
-/// cores, `sim_threads` parallelizes inside each run. Results are
-/// bit-identical to [`replicate_jobs`] for every `(jobs, sim_threads)`
-/// pair, so the split is purely a throughput choice — many short runs
-/// want `jobs`, few long runs want `sim_threads`.
-///
-/// # Errors
-///
-/// Returns the configuration validation error of the lowest-index
-/// replication that fails.
-pub fn replicate_jobs_threads(
-    base: &SystemConfig,
-    router: RouterSpec,
-    n_seeds: u64,
-    jobs: usize,
-    sim_threads: usize,
-) -> Result<Vec<RunMetrics>, ConfigError> {
-    let reps: Vec<u64> = (0..n_seeds).collect();
-    try_parallel_map(jobs, &reps, |_, &k| {
-        let seed = derive_seed(base.seed, NO_RATE_INDEX, strategy_tag(&router), k);
-        crate::speculative::run_simulation_threads(
-            base.clone().with_seed(seed),
-            router,
-            sim_threads,
-        )
-    })
-}
-
 /// [`replicate_jobs`] on all cores.
 ///
 /// # Errors

@@ -59,7 +59,6 @@ mod experiment;
 mod metrics;
 mod msg;
 mod router;
-mod speculative;
 mod system;
 mod trace;
 mod txn;
@@ -68,10 +67,9 @@ pub use config::{ClassBMode, DeadlockVictim, SystemConfig};
 pub use error::ConfigError;
 pub use experiment::{
     default_jobs, derive_seed, mean_over, optimal_static_spec, parallel_map, replicate,
-    replicate_ci, replicate_jobs, replicate_jobs_threads, resolve_jobs, splitmix64, strategy_tag,
-    summarize, sweep_rates, sweep_rates_ci, sweep_rates_jobs, sweep_rates_static,
-    sweep_rates_static_jobs, try_parallel_map, CiOptions, CiRun, CiSweepPoint, MetricSummary,
-    SweepPoint, NO_RATE_INDEX,
+    replicate_ci, replicate_jobs, resolve_jobs, splitmix64, strategy_tag, summarize, sweep_rates,
+    sweep_rates_ci, sweep_rates_jobs, sweep_rates_static, sweep_rates_static_jobs,
+    try_parallel_map, CiOptions, CiRun, CiSweepPoint, MetricSummary, SweepPoint, NO_RATE_INDEX,
 };
 pub use metrics::{
     AbortCounts, AvailabilityMetrics, MetricsCollector, ObsReport, PlacementReport, ResponseKey,
@@ -81,7 +79,6 @@ pub use msg::{CentralSnapshot, Msg};
 pub use router::{
     FailureAwareRouter, FaultAwareDecision, IslandAwareRouter, RouteCtx, Router, RouterSpec,
 };
-pub use speculative::{run_simulation_threads, SpecReport};
 pub use system::{run_simulation, ConvergenceReport, HybridSystem, SamplePoint};
 pub use trace::{Trace, TraceEvent};
 pub use txn::{Phase, PhaseBreakdown, Route, Txn};

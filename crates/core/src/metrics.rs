@@ -36,15 +36,6 @@ impl AbortCounts {
             + self.deadlock_local
             + self.deadlock_central
     }
-
-    /// Adds a delta captured by a journaled [`MetricsOp::Abort`].
-    pub(crate) fn absorb(&mut self, delta: &AbortCounts) {
-        self.local_invalidated += delta.local_invalidated;
-        self.central_invalidated += delta.central_invalidated;
-        self.central_neg_ack += delta.central_neg_ack;
-        self.deadlock_local += delta.deadlock_local;
-        self.deadlock_central += delta.deadlock_central;
-    }
 }
 
 /// Availability counters produced by the fault-injection layer.
@@ -81,26 +72,6 @@ pub struct AvailabilityMetrics {
     /// fault window — the downtime-weighted counterpart of
     /// [`RunMetrics::mean_response`].
     pub mean_response_during_outage: Option<f64>,
-}
-
-impl AvailabilityMetrics {
-    /// Adds a delta captured by a journaled [`MetricsOp::Availability`].
-    ///
-    /// The derived `mean_response_during_outage` is never part of a delta
-    /// (it is computed at finalize from the outage accumulator) and is
-    /// left untouched.
-    pub(crate) fn absorb(&mut self, delta: &AvailabilityMetrics) {
-        debug_assert!(delta.mean_response_during_outage.is_none());
-        self.rejected_class_a += delta.rejected_class_a;
-        self.rejected_class_b += delta.rejected_class_b;
-        self.crash_aborts_site += delta.crash_aborts_site;
-        self.crash_aborts_central += delta.crash_aborts_central;
-        self.failover_shipped += delta.failover_shipped;
-        self.failover_local += delta.failover_local;
-        self.retries += delta.retries;
-        self.deferred_messages += delta.deferred_messages;
-        self.downtime_secs += delta.downtime_secs;
-    }
 }
 
 /// Identifies one response-time histogram: which class the transaction
@@ -541,245 +512,6 @@ impl MetricsCollector {
     }
 }
 
-impl MetricsCollector {
-    /// Replays one journaled recording call.
-    ///
-    /// Applying a worker journal in the globally merged (serial) event
-    /// order reproduces the serial collector bit-for-bit: warm-up gating
-    /// and floating-point accumulation both happen here, not at journal
-    /// time.
-    pub(crate) fn apply(&mut self, op: &MetricsOp) {
-        match op {
-            MetricsOp::Arrival(t) => self.on_arrival(*t),
-            MetricsOp::RouteClassA(t, shipped) => self.on_route_class_a(*t, *shipped),
-            MetricsOp::LocalADone(t, site, rt, attempts, phases) => {
-                self.on_local_a_done(*t, *site, *rt, *attempts, phases);
-            }
-            MetricsOp::ShippedADone(t, site, rt, attempts, phases) => {
-                self.on_shipped_a_done(*t, *site, *rt, *attempts, phases);
-            }
-            MetricsOp::ClassBDone(t, site, rt, attempts, phases) => {
-                self.on_class_b_done(*t, *site, *rt, *attempts, phases);
-            }
-            MetricsOp::Backoff(t, delay) => self.on_backoff(*t, *delay),
-            MetricsOp::Abort(t, delta) => self.on_abort(*t, |a| a.absorb(delta)),
-            MetricsOp::Availability(t, delta) => self.on_availability(*t, |a| a.absorb(delta)),
-            MetricsOp::OutageResponse(t, rt) => self.on_outage_response(*t, *rt),
-        }
-    }
-}
-
-/// One recorded metrics call. The speculative executor's partition workers
-/// journal these instead of mutating a collector, and the window-commit
-/// step replays them into the driver's [`MetricsCollector`] in the exact
-/// order the serial loop would have issued them.
-#[derive(Debug, Clone)]
-pub(crate) enum MetricsOp {
-    /// [`MetricsCollector::on_arrival`].
-    Arrival(SimTime),
-    /// [`MetricsCollector::on_route_class_a`].
-    RouteClassA(SimTime, bool),
-    /// [`MetricsCollector::on_local_a_done`].
-    LocalADone(SimTime, usize, SimDuration, u32, PhaseBreakdown),
-    /// [`MetricsCollector::on_shipped_a_done`].
-    ShippedADone(SimTime, usize, SimDuration, u32, PhaseBreakdown),
-    /// [`MetricsCollector::on_class_b_done`].
-    ClassBDone(SimTime, usize, SimDuration, u32, PhaseBreakdown),
-    /// [`MetricsCollector::on_backoff`].
-    Backoff(SimTime, SimDuration),
-    /// [`MetricsCollector::on_abort`], with the closure's effect captured
-    /// as a counter delta.
-    Abort(SimTime, AbortCounts),
-    /// [`MetricsCollector::on_availability`], delta-captured likewise.
-    Availability(SimTime, AvailabilityMetrics),
-    /// [`MetricsCollector::on_outage_response`].
-    OutageResponse(SimTime, SimDuration),
-}
-
-/// Where a [`HybridSystem`](crate::HybridSystem)'s measurements go.
-///
-/// The serial loop records directly into a collector. Speculative
-/// partition workers journal ops instead, because floating-point
-/// accumulators are order-sensitive: only the window-commit replay, which
-/// knows the global serial order, may touch the real collector.
-// The collector is large, but boxing it would cost an indirection on
-// every metrics call in the serial hot loop; the enum lives once per
-// `HybridSystem`, not per event.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-pub(crate) enum MetricsSink {
-    /// Record straight into the collector (serial execution).
-    Direct(MetricsCollector),
-    /// Append ops for deterministic replay (speculative worker).
-    Journal(Vec<MetricsOp>),
-}
-
-impl MetricsSink {
-    /// See [`MetricsCollector::on_arrival`].
-    pub(crate) fn on_arrival(&mut self, now: SimTime) {
-        match self {
-            MetricsSink::Direct(c) => c.on_arrival(now),
-            MetricsSink::Journal(ops) => ops.push(MetricsOp::Arrival(now)),
-        }
-    }
-
-    /// See [`MetricsCollector::on_route_class_a`].
-    pub(crate) fn on_route_class_a(&mut self, now: SimTime, shipped: bool) {
-        match self {
-            MetricsSink::Direct(c) => c.on_route_class_a(now, shipped),
-            MetricsSink::Journal(ops) => ops.push(MetricsOp::RouteClassA(now, shipped)),
-        }
-    }
-
-    /// See [`MetricsCollector::on_local_a_done`].
-    pub(crate) fn on_local_a_done(
-        &mut self,
-        now: SimTime,
-        site: usize,
-        rt: SimDuration,
-        attempts: u32,
-        phases: &PhaseBreakdown,
-    ) {
-        match self {
-            MetricsSink::Direct(c) => c.on_local_a_done(now, site, rt, attempts, phases),
-            MetricsSink::Journal(ops) => {
-                ops.push(MetricsOp::LocalADone(now, site, rt, attempts, *phases));
-            }
-        }
-    }
-
-    /// See [`MetricsCollector::on_shipped_a_done`].
-    pub(crate) fn on_shipped_a_done(
-        &mut self,
-        now: SimTime,
-        site: usize,
-        rt: SimDuration,
-        attempts: u32,
-        phases: &PhaseBreakdown,
-    ) {
-        match self {
-            MetricsSink::Direct(c) => c.on_shipped_a_done(now, site, rt, attempts, phases),
-            MetricsSink::Journal(ops) => {
-                ops.push(MetricsOp::ShippedADone(now, site, rt, attempts, *phases));
-            }
-        }
-    }
-
-    /// See [`MetricsCollector::on_class_b_done`].
-    pub(crate) fn on_class_b_done(
-        &mut self,
-        now: SimTime,
-        site: usize,
-        rt: SimDuration,
-        attempts: u32,
-        phases: &PhaseBreakdown,
-    ) {
-        match self {
-            MetricsSink::Direct(c) => c.on_class_b_done(now, site, rt, attempts, phases),
-            MetricsSink::Journal(ops) => {
-                ops.push(MetricsOp::ClassBDone(now, site, rt, attempts, *phases));
-            }
-        }
-    }
-
-    /// See [`MetricsCollector::on_backoff`].
-    pub(crate) fn on_backoff(&mut self, now: SimTime, delay: SimDuration) {
-        match self {
-            MetricsSink::Direct(c) => c.on_backoff(now, delay),
-            MetricsSink::Journal(ops) => ops.push(MetricsOp::Backoff(now, delay)),
-        }
-    }
-
-    /// See [`MetricsCollector::on_abort`]. A journal captures the
-    /// closure's effect on zeroed counters as a delta.
-    pub(crate) fn on_abort(&mut self, now: SimTime, f: impl FnOnce(&mut AbortCounts)) {
-        match self {
-            MetricsSink::Direct(c) => c.on_abort(now, f),
-            MetricsSink::Journal(ops) => {
-                let mut delta = AbortCounts::default();
-                f(&mut delta);
-                ops.push(MetricsOp::Abort(now, delta));
-            }
-        }
-    }
-
-    /// See [`MetricsCollector::on_availability`], delta-captured likewise.
-    pub(crate) fn on_availability(
-        &mut self,
-        now: SimTime,
-        f: impl FnOnce(&mut AvailabilityMetrics),
-    ) {
-        match self {
-            MetricsSink::Direct(c) => c.on_availability(now, f),
-            MetricsSink::Journal(ops) => {
-                let mut delta = AvailabilityMetrics::default();
-                f(&mut delta);
-                ops.push(MetricsOp::Availability(now, delta));
-            }
-        }
-    }
-
-    /// See [`MetricsCollector::on_outage_response`].
-    pub(crate) fn on_outage_response(&mut self, now: SimTime, rt: SimDuration) {
-        match self {
-            MetricsSink::Direct(c) => c.on_outage_response(now, rt),
-            MetricsSink::Journal(ops) => ops.push(MetricsOp::OutageResponse(now, rt)),
-        }
-    }
-
-    /// See [`MetricsCollector::finalize`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on a journal: workers have no totals of their own — the
-    /// driver replays their ops and finalizes its direct collector.
-    #[must_use]
-    pub(crate) fn finalize(
-        &self,
-        end: SimTime,
-        rho_local: f64,
-        rho_central: f64,
-        messages: u64,
-        downtime_secs: f64,
-        profile: Option<ProfileReport>,
-    ) -> RunMetrics {
-        match self {
-            MetricsSink::Direct(c) => c.finalize(
-                end,
-                rho_local,
-                rho_central,
-                messages,
-                downtime_secs,
-                profile,
-            ),
-            MetricsSink::Journal(_) => {
-                panic!("a journaling metrics sink has no totals to finalize")
-            }
-        }
-    }
-
-    /// Number of ops journaled so far (0 for a direct sink) — used by
-    /// workers to delimit per-event op ranges.
-    pub(crate) fn ops_len(&self) -> usize {
-        match self {
-            MetricsSink::Direct(_) => 0,
-            MetricsSink::Journal(ops) => ops.len(),
-        }
-    }
-
-    /// Takes the journaled ops, leaving the journal empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a direct sink.
-    pub(crate) fn take_ops(&mut self) -> Vec<MetricsOp> {
-        match self {
-            MetricsSink::Direct(_) => panic!("a direct metrics sink has no journal"),
-            MetricsSink::Journal(ops) => std::mem::take(ops),
-        }
-    }
-}
-
 fn mean_of(acc: &Accumulator) -> Option<f64> {
     (acc.count() > 0).then(|| acc.mean())
 }
@@ -1087,43 +819,6 @@ mod tests {
         let by_cr = obs.response_by_class_route();
         assert_eq!(by_cr.len(), 3);
         assert!(by_cr.iter().all(|(_, h)| h.count() == 1));
-    }
-
-    #[test]
-    fn journal_replay_matches_direct_recording_exactly() {
-        let record = |sink: &mut MetricsSink| {
-            sink.on_arrival(t(11.0));
-            sink.on_route_class_a(t(11.0), true);
-            sink.on_local_a_done(t(13.0), 0, d(2.0), 1, &wait(0.25));
-            sink.on_shipped_a_done(t(14.0), 1, d(4.0), 0, &wait(0.75));
-            sink.on_class_b_done(t(15.0), 1, d(3.0), 2, &wait(0.5));
-            sink.on_backoff(t(15.5), d(0.125));
-            sink.on_abort(t(16.0), |a| a.deadlock_central += 1);
-            sink.on_availability(t(17.0), |a| a.retries += 2);
-            sink.on_outage_response(t(17.0), d(6.0));
-            // Pre-warm-up calls must be journaled too: gating happens at
-            // replay time, exactly as the direct path gates at call time.
-            sink.on_arrival(t(5.0));
-        };
-
-        let mut direct = MetricsSink::Direct(MetricsCollector::new(t(10.0)));
-        record(&mut direct);
-
-        let mut journal = MetricsSink::Journal(Vec::new());
-        record(&mut journal);
-        assert_eq!(journal.ops_len(), 10);
-        let mut replayed = MetricsCollector::new(t(10.0));
-        for op in journal.take_ops() {
-            replayed.apply(&op);
-        }
-        assert_eq!(journal.ops_len(), 0);
-
-        let a = direct.finalize(t(20.0), 0.5, 0.2, 7, 0.0, None);
-        let b = replayed.finalize(t(20.0), 0.5, 0.2, 7, 0.0, None);
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        assert_eq!(a.arrivals, 1);
-        assert_eq!(a.aborts.deadlock_central, 1);
-        assert_eq!(a.availability.retries, 2);
     }
 
     #[test]

@@ -30,28 +30,12 @@ pub struct RouteCtx<'a> {
     pub rng: &'a mut SimRng,
 }
 
-/// Object-safe clone support for boxed routers. Blanket-implemented for
-/// every `Clone` policy; lets system snapshots (taken by the speculative
-/// executor for window rollback) carry router state along.
-pub trait CloneRouter {
-    /// Boxes a copy of `self`.
-    fn clone_box(&self) -> Box<dyn Router>;
-}
-
-impl<T: Router + Clone + 'static> CloneRouter for T {
-    fn clone_box(&self) -> Box<dyn Router> {
-        Box::new(self.clone())
-    }
-}
-
 /// A load-sharing routing policy.
 ///
 /// Routers are driven by the simulator: [`Router::decide`] on each class A
 /// arrival, and the completion hooks whenever a class A transaction
-/// finishes (used by the measured-response-time heuristic). The `Send`
-/// bound lets whole systems move across the speculative executor's
-/// worker threads.
-pub trait Router: fmt::Debug + CloneRouter + Send {
+/// finishes (used by the measured-response-time heuristic).
+pub trait Router: fmt::Debug {
     /// Chooses where the incoming class A transaction runs.
     fn decide(&mut self, ctx: &mut RouteCtx<'_>) -> Route;
 
@@ -513,15 +497,6 @@ pub enum FaultAwareDecision {
 pub struct FailureAwareRouter {
     inner: Box<dyn Router>,
     failover: bool,
-}
-
-impl Clone for FailureAwareRouter {
-    fn clone(&self) -> Self {
-        FailureAwareRouter {
-            inner: self.inner.clone_box(),
-            failover: self.failover,
-        }
-    }
 }
 
 impl FailureAwareRouter {

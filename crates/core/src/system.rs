@@ -27,7 +27,6 @@ use hls_faults::FaultKind;
 use hls_lockmgr::{Grant, LockId, LockMode, LockStats, LockTable, OwnerId, RequestOutcome};
 use hls_net::{Envelope, NodeId, StarNetwork};
 use hls_obs::{Profiler, Timer, TraceSink, TOTAL_KEY};
-use hls_sim::model::{ReferenceEventKey, ReferenceQueue};
 use hls_sim::{
     EventKey, EventQueue, FxHashMap, Job, MultiServer, RngStreams, SimDuration, SimRng, SimTime,
 };
@@ -41,26 +40,22 @@ use hls_shard::ShardMap;
 use crate::config::{ClassBMode, DeadlockVictim, SystemConfig};
 use crate::dense::{JobSlab, MsgCounts, TxnTable, VecPool};
 use crate::error::ConfigError;
-use crate::metrics::{
-    MetricsCollector, MetricsOp, MetricsSink, PlacementReport, RunMetrics, ScaleReport,
-};
+use crate::metrics::{MetricsCollector, PlacementReport, RunMetrics, ScaleReport};
 use crate::msg::{CentralSnapshot, Msg};
 use crate::router::{FailureAwareRouter, FaultAwareDecision, RouteCtx, RouterSpec};
 use crate::trace::{Trace, TraceEvent};
 use crate::txn::{Phase, Route, Txn};
 
-/// Where a CPU or lock-table operation takes place. Doubles as the
-/// partition id of the speculative window executor: each site and the
-/// central complex execute on their own worker replica.
+/// Where a CPU or lock-table operation takes place.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Locale {
+enum Locale {
     Site(usize),
     /// Central shard `k` (`0` is the whole complex when unsharded).
     Central(usize),
 }
 
 /// Work items executed on a CPU.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum JobKind {
     /// A burst belonging to the transaction's own lifecycle.
     TxnPhase(u64),
@@ -108,7 +103,7 @@ enum JobKind {
 }
 
 /// Simulation events.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Ev {
     Arrival {
         site: usize,
@@ -161,89 +156,6 @@ enum Ev {
 /// original endpoints and piggybacked central-state snapshot.
 type DeferredSend = (NodeId, NodeId, Msg, Option<CentralSnapshot>);
 
-/// The simulator's event queue: the indexed four-ary [`EventQueue`] in
-/// production, or the vendored pre-rewrite
-/// [`ReferenceQueue`](hls_sim::model::ReferenceQueue) when a benchmark
-/// wants the old behaviour ([`HybridSystem::use_reference_queue`]). Both
-/// paths pay the same (perfectly predicted) match, so `sim_bench`'s
-/// old-vs-new comparison isolates the queue implementations themselves.
-#[derive(Debug, Clone)]
-enum Queue<E> {
-    Indexed(EventQueue<E>),
-    Reference(ReferenceQueue<E>),
-}
-
-/// A cancellation key from whichever queue implementation is active.
-#[derive(Debug, Clone)]
-enum CpuKey {
-    Indexed(EventKey),
-    Reference(ReferenceEventKey),
-}
-
-impl<E> Queue<E> {
-    #[inline]
-    fn schedule(&mut self, at: SimTime, ev: E) {
-        match self {
-            Queue::Indexed(q) => q.schedule(at, ev),
-            Queue::Reference(q) => q.schedule(at, ev),
-        }
-    }
-
-    #[inline]
-    fn schedule_keyed(&mut self, at: SimTime, ev: E) -> CpuKey {
-        match self {
-            Queue::Indexed(q) => CpuKey::Indexed(q.schedule_keyed(at, ev)),
-            Queue::Reference(q) => CpuKey::Reference(q.schedule_keyed(at, ev)),
-        }
-    }
-
-    #[inline]
-    fn cancel(&mut self, key: CpuKey) {
-        match (self, key) {
-            (Queue::Indexed(q), CpuKey::Indexed(k)) => q.cancel(k),
-            (Queue::Reference(q), CpuKey::Reference(k)) => q.cancel(k),
-            _ => unreachable!("event key from a different queue implementation"),
-        }
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        match self {
-            Queue::Indexed(q) => q.pop(),
-            Queue::Reference(q) => q.pop(),
-        }
-    }
-
-    #[inline]
-    fn peek_time(&mut self) -> Option<SimTime> {
-        match self {
-            Queue::Indexed(q) => q.peek_time(),
-            Queue::Reference(q) => q.peek_time(),
-        }
-    }
-
-    #[inline]
-    fn is_empty(&self) -> bool {
-        match self {
-            Queue::Indexed(q) => q.is_empty(),
-            Queue::Reference(q) => q.is_empty(),
-        }
-    }
-
-    /// The indexed queue, which the speculative executor requires (the
-    /// reference queue has no priorities or schedule tracking; eligibility
-    /// gating sends reference-queue runs down the serial path).
-    #[inline]
-    fn indexed(&mut self) -> &mut EventQueue<E> {
-        match self {
-            Queue::Indexed(q) => q,
-            Queue::Reference(_) => {
-                unreachable!("speculative executor requires the indexed event queue")
-            }
-        }
-    }
-}
-
 /// Where recorded protocol events go: the legacy in-memory [`Trace`]
 /// (`run_traced`) or a pluggable streaming [`TraceSink`]
 /// (`run_with_sink`, e.g. JSONL to a file).
@@ -251,20 +163,6 @@ impl<E> Queue<E> {
 enum TraceTarget {
     Memory(Trace),
     Sink(Box<dyn TraceSink<TraceEvent> + Send>),
-}
-
-impl Clone for TraceTarget {
-    fn clone(&self) -> Self {
-        match self {
-            TraceTarget::Memory(t) => TraceTarget::Memory(t.clone()),
-            // Snapshots are taken only by the speculative executor, whose
-            // eligibility gate already routes traced runs down the serial
-            // path; a sink here means that gate was bypassed.
-            TraceTarget::Sink(_) => {
-                panic!("a streaming trace sink cannot be cloned into a system snapshot")
-            }
-        }
-    }
 }
 
 /// Profiler key for a simulation-event kind.
@@ -306,7 +204,7 @@ fn event_key(ev: &TraceEvent) -> &'static str {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct SiteState {
     cpu: MultiServer,
     locks: LockTable,
@@ -322,7 +220,7 @@ struct SiteState {
 /// A delegated authentication in progress at a foreign shard: the shard
 /// polls the master sites it homes on behalf of a transaction resident
 /// elsewhere, aggregates their replies, and reports one verdict back.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ForeignAuth {
     /// Site replies still outstanding.
     pending: usize,
@@ -338,7 +236,7 @@ struct ForeignAuth {
 /// One shard of the central complex. The classic single-complex system
 /// is the `K = 1` special case: one shard replicating every site's
 /// partitions, with no cross-shard traffic ever generated.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct CentralState {
     cpu: MultiServer,
     locks: LockTable,
@@ -392,99 +290,6 @@ impl ConvergenceReport {
     }
 }
 
-/// A cross-partition message staged by a speculative worker during a
-/// window, delivered into the target partition's worker at the barrier.
-///
-/// The delivery time was already computed by the sender's own network
-/// replica (each worker owns its partition's link-FIFO floors: site `i`
-/// owns the up direction of link `i`, the central worker owns every down
-/// direction), so the barrier only has to route the envelope.
-#[derive(Debug, Clone)]
-pub(crate) struct StagedSend {
-    pub(crate) to: NodeId,
-    pub(crate) deliver_at: SimTime,
-    pub(crate) msg: Msg,
-    pub(crate) snap: Option<CentralSnapshot>,
-    /// The transaction record migrating with the message: `ShipTxn` and
-    /// `RemoteCallReq` carry it origin → central, `RemoteCallResp` and
-    /// `Reply` carry it back.
-    pub(crate) txn: Option<Txn>,
-    /// The worker's schedule-tracking length at the moment this send was
-    /// staged. The serial run interleaves `MsgArrive` schedules with the
-    /// event's other schedule calls in code order; the barrier replay
-    /// uses this mark to reproduce that interleaving when assigning
-    /// global serial stamps.
-    pub(crate) sched_mark: u32,
-}
-
-/// One processed event in a speculative worker's window, with the range
-/// ends (exclusive) of the schedule / send / metric-op log entries its
-/// handling produced.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PopRec {
-    pub(crate) at: SimTime,
-    /// Tie-break priority the event popped with: its global serial stamp
-    /// if a barrier assigned one, `u64::MAX` for events scheduled within
-    /// the current window (resolved via the creating schedule's stamp).
-    pub(crate) pri: u64,
-    /// The worker-local queue sequence number (correlates the pop with
-    /// the schedule call that created it).
-    pub(crate) seq: u64,
-    /// `EndWarmup` fires once in every worker; the merge counts it once.
-    pub(crate) dup: bool,
-    pub(crate) sched_end: u32,
-    pub(crate) send_end: u32,
-    pub(crate) ops_end: u32,
-}
-
-/// A pre-assigned arrival admission, fed to a site worker by the
-/// driver's arrival shadow: the globally sequential transaction id, and
-/// the route-RNG state to restore before the routing decision for
-/// policies that consume random draws (the serial run interleaves those
-/// draws across all sites in arrival order).
-#[derive(Debug, Clone)]
-pub(crate) struct ArrivalFeed {
-    pub(crate) id: u64,
-    pub(crate) route_rng: Option<SimRng>,
-}
-
-/// Per-worker state of the speculative window executor. Present only on
-/// worker replicas (`HybridSystem::shard_init`); `None` in every serial
-/// run, so the serial hot path pays one predicted branch per hook.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ShardCtx {
-    /// Whether this worker owns the central-complex partition.
-    pub(crate) central: bool,
-    /// Pending pre-assigned arrivals for this site worker.
-    pub(crate) feed: VecDeque<ArrivalFeed>,
-    /// Cross-partition messages staged this window.
-    pub(crate) staged_sends: Vec<StagedSend>,
-    /// Site worker: abort marks for central-resident transactions whose
-    /// site locks an authentication seizure displaced this window.
-    pub(crate) staged_aborts: Vec<(SimTime, u64)>,
-    /// Central worker: commit-path reads of transaction abort marks this
-    /// window (`(time, txn, value)`) — the conflict oracle against
-    /// `staged_aborts`.
-    pub(crate) abort_reads: Vec<(SimTime, u64, bool)>,
-    /// The window's pop log.
-    pub(crate) pops: Vec<PopRec>,
-    /// Conflict re-execution only: site-staged abort marks, time-ordered,
-    /// applied to the transaction table as the clock passes each one.
-    pub(crate) inject: VecDeque<(SimTime, u64)>,
-}
-
-/// Everything a speculative worker logged for one window, drained at the
-/// barrier by [`HybridSystem::shard_take_window`].
-#[derive(Debug)]
-pub(crate) struct WindowLog {
-    pub(crate) pops: Vec<PopRec>,
-    pub(crate) scheds: Vec<(SimTime, EventKey)>,
-    pub(crate) sends: Vec<StagedSend>,
-    pub(crate) aborts: Vec<(SimTime, u64)>,
-    pub(crate) reads: Vec<(SimTime, u64, bool)>,
-    pub(crate) ops: Vec<MetricsOp>,
-}
-
 /// Phase of an in-flight partition migration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MigrationPhase {
@@ -497,7 +302,7 @@ enum MigrationPhase {
 }
 
 /// One in-flight partition migration.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ActiveMigration {
     /// Monotonic migration id; stale `PlacementCopyDone` events from an
     /// aborted predecessor carry an older id and are ignored.
@@ -515,7 +320,7 @@ struct ActiveMigration {
 /// `Option` on [`HybridSystem`]: `None` (the static policy with no
 /// workload drift) leaves every legacy code path untouched, keeping
 /// such runs bit-identical to a build without placement at all.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct PlacementRt {
     /// The live partition→home-site map (epoch-versioned).
     map: PlacementMap,
@@ -591,10 +396,10 @@ impl PlacementRt {
 ///     .run();
 /// assert!(metrics.completions > 0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct HybridSystem {
-    pub(crate) cfg: SystemConfig,
-    queue: Queue<Ev>,
+    cfg: SystemConfig,
+    queue: EventQueue<Ev>,
     net: StarNetwork,
     sites: Vec<SiteState>,
     /// The central complex, as `K >= 1` shards. Index 0 is the whole
@@ -609,7 +414,7 @@ pub struct HybridSystem {
     txns: TxnTable,
     /// In-flight CPU jobs: work item plus the pending `CpuDone`
     /// cancellation key, keyed by self-describing slot-encoded ids.
-    jobs: JobSlab<JobKind, CpuKey>,
+    jobs: JobSlab<JobKind, EventKey>,
     router: FailureAwareRouter,
     generator: TxnGenerator,
     arrivals: Vec<ArrivalProcess>,
@@ -619,7 +424,7 @@ pub struct HybridSystem {
     next_write: u64,
     /// Per-kind message counters, indexed by [`Msg::kind_index`].
     msg_counts: MsgCounts,
-    metrics: MetricsSink,
+    metrics: MetricsCollector,
     end: SimTime,
     trace: Option<TraceTarget>,
     /// Gated self-profiler (host wall-clock only; never reads or
@@ -634,7 +439,7 @@ pub struct HybridSystem {
     active_faults: usize,
     /// Simulation events processed so far (see
     /// [`HybridSystem::run_counted`]).
-    pub(crate) events_processed: u64,
+    events_processed: u64,
     /// Free lists recycling the per-event vector payloads (auth lock
     /// lists, write sets, lock-id lists, site lists, victim lists) so
     /// the steady-state event loop stays off the allocator.
@@ -666,17 +471,11 @@ pub struct HybridSystem {
     /// event (see [`HybridSystem::run_validated`]). Test-only; off in
     /// measurement runs.
     validate_locks: bool,
-    /// The routing policy this system was built with; worker replicas and
-    /// the whole-run serial fallback of the speculative executor rebuild
-    /// from it.
-    pub(crate) router_spec: RouterSpec,
     /// Per-site CPU speed relative to `params.local_mips` (all 1.0 on
     /// homogeneous hardware); reported to routers via [`Observed`].
     site_speed: Vec<f64>,
     /// Per-central-shard CPU speed relative to `params.central_mips`.
     central_speed: Vec<f64>,
-    /// Speculative-worker state; `None` for every serial run.
-    shard: Option<Box<ShardCtx>>,
     /// Adaptive-placement runtime; `None` under the static policy with
     /// no workload drift (the legacy configuration).
     placement: Option<Box<PlacementRt>>,
@@ -803,7 +602,7 @@ impl HybridSystem {
             arrivals,
             site_rngs: (0..n).map(|i| streams.stream(i as u64)).collect(),
             route_rng: streams.stream(1_000_003),
-            queue: Queue::Indexed(EventQueue::new()),
+            queue: EventQueue::new(),
             net,
             sites,
             centrals,
@@ -814,7 +613,7 @@ impl HybridSystem {
             next_txn: 1,
             next_write: 1,
             msg_counts: MsgCounts::new(),
-            metrics: MetricsSink::Direct(metrics),
+            metrics,
             end,
             trace: None,
             profiler: Profiler::new(cfg.obs.profile),
@@ -836,8 +635,6 @@ impl HybridSystem {
             remote_grant_count: 0,
             peak_txns: 0,
             validate_locks: false,
-            router_spec: router,
-            shard: None,
             placement,
             cfg,
         })
@@ -903,40 +700,13 @@ impl HybridSystem {
     }
 
     /// Like [`HybridSystem::run`], but also returns the number of events
-    /// the main loop processed — the denominator for events/sec in
-    /// `sim_bench`. The metrics are identical to [`HybridSystem::run`].
+    /// the main loop processed — the denominator of perfbench's
+    /// `sim.ns_per_event`. The metrics are identical to
+    /// [`HybridSystem::run`].
     #[must_use]
     pub fn run_counted(mut self) -> (RunMetrics, u64) {
         let metrics = self.run_internal();
         (metrics, self.events_processed)
-    }
-
-    /// Swaps the entire per-event hot path for the vendored pre-overhaul
-    /// implementations: the `BinaryHeap` + tombstone-set event queue
-    /// (see [`hls_sim::model`]), SipHash transaction/job maps, hashed
-    /// per-kind message counters, and per-event vector allocation
-    /// instead of pooling. `sim_bench` uses this to measure old-vs-new
-    /// whole-run throughput inside one binary. Every decision is
-    /// identical in both modes — metrics stay bit-for-bit the same.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after events have been scheduled (i.e. once a run
-    /// has started); call it right after construction.
-    pub fn use_reference_hot_path(&mut self) {
-        assert!(
-            self.queue.is_empty(),
-            "use_reference_hot_path must be called before the run starts"
-        );
-        self.queue = Queue::Reference(ReferenceQueue::new());
-        self.txns = TxnTable::reference();
-        self.jobs = JobSlab::reference();
-        self.msg_counts = MsgCounts::reference();
-        self.pool_locks = VecPool::reference();
-        self.pool_writes = VecPool::reference();
-        self.pool_lockids = VecPool::reference();
-        self.pool_sites = VecPool::reference();
-        self.pool_txnids = VecPool::reference();
     }
 
     /// Runs while sampling system state every `interval` seconds,
@@ -1043,7 +813,7 @@ impl HybridSystem {
         }
     }
 
-    pub(crate) fn run_internal(&mut self) -> RunMetrics {
+    fn run_internal(&mut self) -> RunMetrics {
         let total = Timer::start_if(self.profiler.enabled());
         for site in 0..self.cfg.params.n_sites {
             let first = {
@@ -1232,24 +1002,6 @@ impl HybridSystem {
         let central_ok = self.central_up && self.net.link_is_up(site);
         let remote_mode = self.cfg.class_b_mode == ClassBMode::RemoteCalls;
 
-        // Speculative workers: the driver's arrival shadow pre-assigns
-        // ids in global arrival order and, for draw-consuming policies,
-        // hands over the route-RNG state the serial run would see — both
-        // interleave across all sites, which no single partition can
-        // reproduce on its own.
-        let shard_id = if let Some(shard) = &mut self.shard {
-            let f = shard
-                .feed
-                .pop_front()
-                .expect("speculative arrival feed exhausted");
-            if let Some(rng) = f.route_rng {
-                self.route_rng = rng;
-            }
-            Some(f.id)
-        } else {
-            None
-        };
-
         let route = if spec.class == TxnClass::B {
             let ok = central_ok && (!remote_mode || local_ok);
             let timer = Timer::start_if(self.profiler.enabled());
@@ -1332,14 +1084,8 @@ impl HybridSystem {
             });
         }
 
-        let id = match shard_id {
-            Some(id) => id,
-            None => {
-                let id = self.next_txn;
-                self.next_txn += 1;
-                id
-            }
-        };
+        let id = self.next_txn;
+        self.next_txn += 1;
         let class = spec.class;
         if let Some(p) = self.placement.as_mut() {
             let measuring = now >= SimTime::from_secs(self.cfg.warmup);
@@ -1880,7 +1626,6 @@ impl HybridSystem {
 
     fn begin_commit(&mut self, now: SimTime, id: u64) {
         let marked = self.txns[id].marked_abort;
-        self.shard_note_abort_read(now, id, marked);
         if marked {
             self.abort_and_rerun(now, id);
             return;
@@ -2115,7 +1860,6 @@ impl HybridSystem {
             txn.commit_total += (now - txn.commit_since).as_secs();
         }
         let marked = self.txns[id].marked_abort;
-        self.shard_note_abort_read(now, id, marked);
         if marked {
             self.abort_and_rerun(now, id);
             return;
@@ -2204,12 +1948,8 @@ impl HybridSystem {
         locks: &[(LockId, LockMode)],
     ) {
         // A crash may have killed the requester while this burst was
-        // queued; don't seize locks for the dead. (A speculative site
-        // worker never holds the central-resident requester's record,
-        // but fault-free it is alive by construction: the requester can
-        // only resolve — and disappear — once every auth reply is in,
-        // and this site's reply has not been sent yet.)
-        if self.shard.is_none() && !self.txns.contains(id) {
+        // queued; don't seize locks for the dead.
+        if !self.txns.contains(id) {
             return;
         }
         // Coherence check: any in-flight asynchronous update on the
@@ -2229,15 +1969,6 @@ impl HybridSystem {
                             displaced_all.push(victim.0);
                         }
                         t.marked_abort = true;
-                    } else if let Some(shard) = self.shard.as_mut() {
-                        // A central-resident victim (an earlier auth
-                        // seizure at this site): its record lives in the
-                        // central worker. Stage the abort mark — the
-                        // barrier applies it there and checks it against
-                        // the central worker's optimistic commit-path
-                        // reads, rolling the central window back on a
-                        // same-window race.
-                        shard.staged_aborts.push((now, victim.0));
                     }
                 }
                 self.resume_grants(now, &out.grants, Locale::Site(site));
@@ -2284,7 +2015,6 @@ impl HybridSystem {
             txn.auth_wait_total += (now - txn.auth_since).as_secs();
             (txn.auth_negative, txn.marked_abort, txn.auth_sites.len())
         };
-        self.shard_note_abort_read(now, id, invalidated);
         if negative || invalidated {
             // Failed authentication: release any locks seized at the master
             // sites, then re-execute and repeat the process. Sites homed by
@@ -2947,37 +2677,8 @@ impl HybridSystem {
     ) {
         match self.net.try_send(now, from, to, ()) {
             Ok(Envelope { deliver_at, .. }) => {
-                if let Some(shard) = self.shard.as_mut() {
-                    // Speculative window: stage the message for barrier
-                    // delivery into the target partition's worker. With a
-                    // migrating message kind the transaction record
-                    // travels too — the sender is done with it (the
-                    // serial code sets `Phase::InTransit` or drops the
-                    // record before sending).
-                    let txn = match &msg {
-                        Msg::ShipTxn { txn }
-                        | Msg::RemoteCallReq { txn }
-                        | Msg::RemoteCallResp { txn }
-                        | Msg::Reply { txn } => Some(
-                            self.txns
-                                .remove(*txn)
-                                .expect("migrating transaction record"),
-                        ),
-                        _ => None,
-                    };
-                    let sched_mark = self.queue.indexed().tracked_len() as u32;
-                    shard.staged_sends.push(StagedSend {
-                        to,
-                        deliver_at,
-                        msg,
-                        snap,
-                        txn,
-                        sched_mark,
-                    });
-                } else {
-                    self.queue
-                        .schedule(deliver_at, Ev::MsgArrive { to, msg, snap });
-                }
+                self.queue
+                    .schedule(deliver_at, Ev::MsgArrive { to, msg, snap });
             }
             Err(()) => {
                 let site = if from.is_central() {
@@ -3465,243 +3166,6 @@ impl HybridSystem {
         });
         self.trace(now, || TraceEvent::CrashAbort { txn: id, route });
         self.placement_release_txn(now, &txn.spec.locks);
-    }
-
-    // ------------------------------------------------------------------
-    // Speculative-executor plumbing (see `crate::speculative`)
-    // ------------------------------------------------------------------
-
-    /// Central speculative worker: log a commit-path read of a
-    /// transaction's abort mark, so the barrier can detect a same-window
-    /// seizure at a master site that the optimistic execution missed.
-    /// No-op outside the central worker.
-    fn shard_note_abort_read(&mut self, now: SimTime, id: u64, marked: bool) {
-        if let Some(shard) = self.shard.as_mut() {
-            if shard.central {
-                shard.abort_reads.push((now, id, marked));
-            }
-        }
-    }
-
-    /// Whether this run is eligible for the speculative window executor:
-    /// fault-free, untraced, unprofiled, unsampled, unvalidated, on the
-    /// indexed queue, with delayed central snapshots and a positive
-    /// *uniform* communication delay (the conservative window bound — a
-    /// heterogeneous delay matrix would let a fast link deliver inside
-    /// another partition's window, so non-uniform topologies fall back
-    /// to the serial path). Ineligible runs take the serial path and
-    /// are bit-identical by construction.
-    pub(crate) fn speculative_eligible(&self) -> bool {
-        self.n_shards == 1
-            && !self.cfg.scale_metrics
-            && self.cfg.fault_schedule.events().is_empty()
-            && self.trace.is_none()
-            && !self.profiler.enabled()
-            && self.samples.is_none()
-            && !self.validate_locks
-            && !self.cfg.instantaneous_state
-            && self.cfg.uniform_link_delays()
-            && self.cfg.min_link_delay() > 0.0
-            && self.placement.is_none()
-            && matches!(self.queue, Queue::Indexed(_))
-            && self.queue.is_empty()
-    }
-
-    /// Converts this freshly built system into a speculative worker for
-    /// one partition: metrics are journaled for barrier replay, and every
-    /// schedule call is tracked so the barrier can stamp new events with
-    /// their global serial order.
-    pub(crate) fn shard_init(&mut self, central: bool) {
-        assert!(
-            self.queue.is_empty() && self.shard.is_none(),
-            "shard_init on a started or already-sharded system"
-        );
-        self.metrics = MetricsSink::Journal(Vec::new());
-        self.queue.indexed().set_tracking(true);
-        self.shard = Some(Box::new(ShardCtx {
-            central,
-            ..ShardCtx::default()
-        }));
-    }
-
-    /// Schedules this worker's partition-local initial events with their
-    /// global serial stamps: the serial loop schedules site `i`'s first
-    /// arrival with sequence `i` and `EndWarmup` with sequence `n`.
-    /// `EndWarmup` is scheduled in *every* worker (each needs its own
-    /// busy-at-warmup snapshot); the barrier merge counts it once.
-    pub(crate) fn shard_schedule_initial(&mut self, site: Option<usize>) {
-        let n = self.cfg.params.n_sites;
-        if let Some(site) = site {
-            let first = {
-                let rng = &mut self.site_rngs[site];
-                self.arrivals[site].next_after(rng, SimTime::ZERO)
-            };
-            let q = self.queue.indexed();
-            let key = q.schedule_keyed(first, Ev::Arrival { site });
-            q.set_priority(&key, site as u64);
-        }
-        let q = self.queue.indexed();
-        let key = q.schedule_keyed(SimTime::from_secs(self.cfg.warmup), Ev::EndWarmup);
-        q.set_priority(&key, n as u64);
-        // Initial scheduling belongs to no window's log.
-        let _ = q.take_tracked();
-    }
-
-    /// Queues one pre-assigned arrival admission (driver's shadow).
-    pub(crate) fn shard_push_feed(&mut self, feed: ArrivalFeed) {
-        self.shard
-            .as_mut()
-            .expect("shard worker")
-            .feed
-            .push_back(feed);
-    }
-
-    /// Runs this worker's events strictly before `until` (clamped to the
-    /// horizon), recording the pop log. Injected abort marks (conflict
-    /// re-execution) are applied to the transaction table as the clock
-    /// passes them; any remainder is applied when the window closes.
-    pub(crate) fn shard_run_window(&mut self, until: SimTime) {
-        let until = if until < self.end { until } else { self.end };
-        while let Some(t) = self.queue.peek_time() {
-            if t >= until {
-                break;
-            }
-            loop {
-                let shard = self.shard.as_mut().expect("shard worker");
-                // Strict `<`: an exact time tie between a site's seizure
-                // and a central event forces the whole-run serial
-                // fallback upstream, so the order here never matters.
-                match shard.inject.front() {
-                    Some(&(at, victim)) if at < t => {
-                        shard.inject.pop_front();
-                        if let Some(tx) = self.txns.get_mut(victim) {
-                            tx.marked_abort = true;
-                        }
-                    }
-                    _ => break,
-                }
-            }
-            let (now, pri, seq, ev) = self.queue.indexed().pop_entry().expect("peeked event");
-            self.events_processed += 1;
-            let dup = matches!(ev, Ev::EndWarmup);
-            self.handle(now, ev);
-            let sched_end = self.queue.indexed().tracked_len() as u32;
-            let ops_end = self.metrics.ops_len() as u32;
-            let shard = self.shard.as_mut().expect("shard worker");
-            shard.pops.push(PopRec {
-                at: now,
-                pri,
-                seq,
-                dup,
-                sched_end,
-                send_end: shard.staged_sends.len() as u32,
-                ops_end,
-            });
-        }
-        loop {
-            let shard = self.shard.as_mut().expect("shard worker");
-            let Some((_, victim)) = shard.inject.pop_front() else {
-                break;
-            };
-            if let Some(tx) = self.txns.get_mut(victim) {
-                tx.marked_abort = true;
-            }
-        }
-    }
-
-    /// Drains the window's logs at the barrier.
-    pub(crate) fn shard_take_window(&mut self) -> WindowLog {
-        let scheds = self.queue.indexed().take_tracked();
-        let ops = self.metrics.take_ops();
-        let shard = self.shard.as_mut().expect("shard worker");
-        WindowLog {
-            pops: std::mem::take(&mut shard.pops),
-            scheds,
-            sends: std::mem::take(&mut shard.staged_sends),
-            aborts: std::mem::take(&mut shard.staged_aborts),
-            reads: std::mem::take(&mut shard.abort_reads),
-            ops,
-        }
-    }
-
-    /// Stamps a still-pending event with its global serial order (barrier
-    /// replay); `false` if the event already fired within its window.
-    pub(crate) fn shard_set_priority(&mut self, key: &EventKey, pri: u64) -> bool {
-        self.queue.indexed().set_priority(key, pri)
-    }
-
-    /// Delivers a staged cross-partition message into this worker's
-    /// queue with its serial stamp, inserting any migrating transaction
-    /// record first.
-    pub(crate) fn shard_deliver(&mut self, send: StagedSend, stamp: u64) {
-        if let Some(txn) = send.txn {
-            self.txns.insert(txn.id, txn);
-        }
-        let q = self.queue.indexed();
-        let key = q.schedule_keyed(
-            send.deliver_at,
-            Ev::MsgArrive {
-                to: send.to,
-                msg: send.msg,
-                snap: send.snap,
-            },
-        );
-        q.set_priority(&key, stamp);
-    }
-
-    /// Discards schedule-tracking entries produced by barrier deliveries
-    /// so the next window's log starts clean.
-    pub(crate) fn shard_discard_tracking(&mut self) {
-        let _ = self.queue.indexed().take_tracked();
-    }
-
-    /// Applies a site-staged abort mark at the barrier (no-conflict
-    /// case). The record may already have migrated home with its commit
-    /// `Reply`, in which case the mark is inert — exactly as it is in
-    /// the serial run, where the flag is set on a committed record that
-    /// nobody reads again.
-    pub(crate) fn shard_apply_abort(&mut self, victim: u64) {
-        if let Some(t) = self.txns.get_mut(victim) {
-            t.marked_abort = true;
-        }
-    }
-
-    /// Queues time-ordered abort marks for injection during a conflict
-    /// re-execution of the central window.
-    pub(crate) fn shard_inject(&mut self, aborts: &[(SimTime, u64)]) {
-        let shard = self.shard.as_mut().expect("shard worker");
-        debug_assert!(shard.inject.is_empty(), "injection into a dirty window");
-        shard.inject.extend(aborts.iter().copied());
-    }
-
-    /// Post-warmup utilization of site `i`'s CPU — valid only on the
-    /// worker that owns partition `i`.
-    pub(crate) fn shard_site_utilization(&self, i: usize) -> f64 {
-        self.sites[i].cpu.utilization(
-            self.end,
-            SimTime::from_secs(self.cfg.warmup),
-            self.sites[i].busy_at_warmup,
-        )
-    }
-
-    /// Post-warmup utilization of the central CPU complex — valid only
-    /// on the central worker.
-    pub(crate) fn shard_central_utilization(&self) -> f64 {
-        self.centrals[0].cpu.utilization(
-            self.end,
-            SimTime::from_secs(self.cfg.warmup),
-            self.centrals[0].busy_at_warmup,
-        )
-    }
-
-    /// This worker's network counters (its partition's sends).
-    pub(crate) fn shard_net_counters(&self) -> hls_net::NetCounters {
-        self.net.counters()
-    }
-
-    /// This worker's per-kind message counts (its partition's sends).
-    pub(crate) fn shard_msg_counts(&self) -> &MsgCounts {
-        &self.msg_counts
     }
 
     // ------------------------------------------------------------------

@@ -1,16 +1,12 @@
 //! Physical conservation and consistency invariants of the simulator.
 //!
-//! Every run — serial or speculative, fault-free or faulted, under any
-//! routing policy — must conserve transactions: each completion,
-//! rejection, and crash abort accounts for exactly one admitted
-//! arrival, nothing completes twice, and what is left over at the
-//! horizon is a non-negative in-flight population. The reported
-//! [`RunMetrics`] counters must agree with the event trace, and the
-//! per-site observability histograms must partition the completion
-//! count exactly. These are the invariants the speculative window
-//! executor could most plausibly break (dropped or duplicated events at
-//! window barriers, mis-merged metric journals), so the battery runs
-//! them through `--sim-threads` paths as well.
+//! Every run — fault-free or faulted, under any routing policy — must
+//! conserve transactions: each completion, rejection, and crash abort
+//! accounts for exactly one admitted arrival, nothing completes twice,
+//! and what is left over at the horizon is a non-negative in-flight
+//! population. The reported [`RunMetrics`] counters must agree with the
+//! event trace, and the per-site observability histograms must
+//! partition the completion count exactly.
 
 use std::collections::HashMap;
 
@@ -193,13 +189,12 @@ fn conservation_under_faults() {
     }
 }
 
-/// Per-site metric invariants through the speculative path: for every
-/// thread count, the per-`(class, route, site)` response histograms
-/// partition the completion count exactly — no completion is dropped or
-/// double-counted at window barriers — site indices stay in range, and
-/// the message-kind breakdown sums to the message total. Heterogeneous
-/// per-site rates make the per-site counts distinct, so a mis-merge
-/// that swaps or duplicates a site's journal cannot cancel out.
+/// Per-site metric invariants: the per-`(class, route, site)` response
+/// histograms partition the completion count exactly — no completion is
+/// dropped or double-counted — site indices stay in range, and the
+/// message-kind breakdown sums to the message total. Heterogeneous
+/// per-site rates make the per-site counts distinct, so a recording bug
+/// that swaps or duplicates a site's completions cannot cancel out.
 #[test]
 fn per_site_histograms_partition_completions() {
     let mut cfg = light_config();
@@ -209,47 +204,24 @@ fn per_site_histograms_partition_completions() {
             .map(|i| RateProfile::Constant(0.9 + 0.2 * i as f64))
             .collect(),
     );
-    let spec = RouterSpec::QueueLength;
-    let serial = HybridSystem::new(cfg.clone(), spec).expect("valid").run();
-    for threads in [1, 2, 4, 8] {
-        let m = HybridSystem::new(cfg.clone(), spec)
-            .expect("valid")
-            .run_threads(threads);
-        assert_eq!(serial, m, "sim-threads={threads} diverged");
-        let obs = m.obs.as_ref().expect("histograms enabled");
-        let total: u64 = obs.response.iter().map(|(_, h)| h.count()).sum();
-        assert_eq!(
-            total, m.completions,
-            "sim-threads={threads}: histogram counts must partition completions"
-        );
-        for (key, h) in &obs.response {
-            assert!(key.site < cfg.params.n_sites, "site index out of range");
-            assert!(h.count() > 0, "empty histograms must be omitted");
-        }
-        let by_kind: u64 = m.messages_by_kind.iter().map(|(_, c)| c).sum();
-        assert_eq!(
-            by_kind, m.messages,
-            "sim-threads={threads}: message-kind breakdown must sum to the total"
-        );
-        assert!((0.0..=1.0).contains(&m.rho_central));
-        assert!((0.0..=1.0).contains(&m.rho_local));
+    let m = HybridSystem::new(cfg.clone(), RouterSpec::QueueLength)
+        .expect("valid")
+        .run();
+    let obs = m.obs.as_ref().expect("histograms enabled");
+    let total: u64 = obs.response.iter().map(|(_, h)| h.count()).sum();
+    assert_eq!(
+        total, m.completions,
+        "histogram counts must partition completions"
+    );
+    for (key, h) in &obs.response {
+        assert!(key.site < cfg.params.n_sites, "site index out of range");
+        assert!(h.count() > 0, "empty histograms must be omitted");
     }
-}
-
-/// The speculative path conserves transactions end to end: serial and
-/// parallel runs agree on the arrival/completion window counters for
-/// every policy (a dropped or duplicated arrival feed would show here
-/// even when mean metrics happen to collide).
-#[test]
-fn window_counters_survive_speculation() {
-    let cfg = light_config();
-    for spec in all_specs() {
-        let serial = HybridSystem::new(cfg.clone(), spec).expect("valid").run();
-        let parallel = HybridSystem::new(cfg.clone(), spec)
-            .expect("valid")
-            .run_threads(4);
-        assert_eq!(serial.arrivals, parallel.arrivals, "{}", spec.label());
-        assert_eq!(serial.completions, parallel.completions, "{}", spec.label());
-        assert_eq!(serial, parallel, "{}", spec.label());
-    }
+    let by_kind: u64 = m.messages_by_kind.iter().map(|(_, c)| c).sum();
+    assert_eq!(
+        by_kind, m.messages,
+        "message-kind breakdown must sum to the total"
+    );
+    assert!((0.0..=1.0).contains(&m.rho_central));
+    assert!((0.0..=1.0).contains(&m.rho_local));
 }

@@ -10,9 +10,8 @@
 use std::num::NonZeroUsize;
 
 use hls_core::{
-    derive_seed, replicate_jobs, run_simulation, run_simulation_threads, strategy_tag,
-    sweep_rates_jobs, sweep_rates_static_jobs, FaultSchedule, HybridSystem, RouterSpec,
-    SystemConfig, TraceEvent, UtilizationEstimator, NO_RATE_INDEX,
+    derive_seed, replicate_jobs, run_simulation, strategy_tag, sweep_rates_jobs,
+    sweep_rates_static_jobs, RouterSpec, SystemConfig, UtilizationEstimator, NO_RATE_INDEX,
 };
 use hls_sim::SimRng;
 
@@ -204,200 +203,6 @@ fn derived_seeds_are_collision_free() {
                     }
                 }
             }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Within-run parallelism: the speculative window executor
-// (`--sim-threads`). Its contract is the same as the experiment
-// engine's, one level down: bit-identical `RunMetrics` for every
-// thread count, including `1` (the untouched serial loop).
-// ---------------------------------------------------------------------
-
-/// Shipping-heavy and lock-contended: most class A work runs at the
-/// central complex, so authentication seizures displace central
-/// transactions and conflict windows actually occur.
-fn contended_config() -> SystemConfig {
-    let mut cfg = SystemConfig::paper_default()
-        .with_total_rate(20.0)
-        .with_horizon(24.0, 4.0)
-        .with_seed(7);
-    cfg.params.n_sites = 4;
-    cfg.params.lockspace = 48.0;
-    cfg
-}
-
-/// The sim-thread counts the battery exercises, per ISSUE 6.
-const SIM_THREADS: [usize; 4] = [1, 2, 4, 8];
-
-/// Bounded replication count for the randomized passes, honoring the
-/// conventional `PROPTEST_CASES` override.
-fn prop_cases(default: usize) -> usize {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-#[test]
-fn sim_threads_matrix_is_bit_identical_light() {
-    let cfg = quick_config();
-    for spec in all_specs() {
-        let (serial, serial_events) = HybridSystem::new(cfg.clone(), spec)
-            .expect("valid")
-            .run_counted();
-        for threads in SIM_THREADS {
-            let (metrics, events) = HybridSystem::new(cfg.clone(), spec)
-                .expect("valid")
-                .run_counted_threads(threads);
-            assert_eq!(serial, metrics, "{} sim-threads={threads}", spec.label());
-            assert_eq!(
-                serial_events,
-                events,
-                "{} sim-threads={threads} event count",
-                spec.label()
-            );
-        }
-    }
-}
-
-#[test]
-fn sim_threads_matrix_is_bit_identical_contended() {
-    let cfg = contended_config();
-    for spec in [
-        RouterSpec::Static { p_ship: 0.7 },
-        RouterSpec::QueueLength,
-        RouterSpec::MinAverage {
-            estimator: UtilizationEstimator::NumInSystem,
-        },
-    ] {
-        let (serial, serial_events) = HybridSystem::new(cfg.clone(), spec)
-            .expect("valid")
-            .run_counted();
-        for threads in SIM_THREADS {
-            let (metrics, events) = HybridSystem::new(cfg.clone(), spec)
-                .expect("valid")
-                .run_counted_threads(threads);
-            assert_eq!(serial, metrics, "{} sim-threads={threads}", spec.label());
-            assert_eq!(
-                serial_events,
-                events,
-                "{} sim-threads={threads}",
-                spec.label()
-            );
-        }
-    }
-}
-
-/// Heavy contention drives authentication-seizure displacements, yet
-/// every fault-free victim is *site-local*: two central transactions
-/// whose locksets intersect are serialized by the central lock table,
-/// so their site seizure windows can never overlap (the serialization
-/// argument in `speculative`'s module docs). The speculative run must
-/// therefore stay conflict-free while matching the serial run bit for
-/// bit even as displacements abort and re-run transactions inside the
-/// windows. (The rollback machinery itself is driven by fabricated
-/// displacements in `speculative::tests::injected_conflict_is_repaired`.)
-#[test]
-fn contended_displacements_stay_partition_local() {
-    let cfg = contended_config();
-    let spec = RouterSpec::Static { p_ship: 0.9 };
-    let mut traced = HybridSystem::new(cfg.clone(), spec).expect("valid");
-    traced.enable_trace();
-    let (_, trace) = traced.run_traced();
-    let displaced: usize = trace
-        .events()
-        .iter()
-        .filter_map(|(_, ev)| match ev {
-            TraceEvent::AuthProcessed { displaced, .. } => Some(displaced.len()),
-            _ => None,
-        })
-        .sum();
-    assert!(
-        displaced > 0,
-        "contended config should displace local lock holders during authentication"
-    );
-
-    let serial = HybridSystem::new(cfg.clone(), spec).expect("valid").run();
-    let (metrics, report) = HybridSystem::new(cfg, spec)
-        .expect("valid")
-        .run_threads_report(4, None);
-    assert!(!report.serial, "contended config should run speculatively");
-    assert!(report.windows > 0);
-    assert_eq!(
-        report.conflicts, 0,
-        "fault-free displacements are partition-local; got {report:?}"
-    );
-    assert_eq!(serial, metrics);
-}
-
-/// A faulted configuration is ineligible for speculation and must fall
-/// back to the serial loop — same metrics, `serial` flagged.
-#[test]
-fn sim_threads_fall_back_serially_on_faulted_config() {
-    let mut cfg = contended_config();
-    cfg.fault_schedule = FaultSchedule::empty()
-        .site_outage(0, 6.0, 9.0)
-        .central_outage(10.0, 12.0)
-        .link_outage(3, 8.0, 10.0);
-    cfg.failure_aware = true;
-    let serial = HybridSystem::new(cfg.clone(), RouterSpec::QueueLength)
-        .expect("valid")
-        .run();
-    for threads in SIM_THREADS {
-        let (metrics, report) = HybridSystem::new(cfg.clone(), RouterSpec::QueueLength)
-            .expect("valid")
-            .run_threads_report(threads, None);
-        assert!(report.serial, "faulted config must take the serial path");
-        assert_eq!(serial, metrics, "sim-threads={threads}");
-    }
-}
-
-/// Equivalence must hold for *every* window size in `(0, comm_delay]`,
-/// not just the default: randomized window sizes, seeded and bounded by
-/// `PROPTEST_CASES`.
-#[test]
-fn randomized_window_sizes_preserve_equivalence() {
-    let mut rng = SimRng::seed_from_u64(0x5EC_CA5E5);
-    let cfg = contended_config();
-    let spec = RouterSpec::Static { p_ship: 0.7 };
-    let comm = cfg.params.comm_delay;
-    let serial = HybridSystem::new(cfg.clone(), spec).expect("valid").run();
-    for case in 0..prop_cases(6) {
-        let window = comm * (0.05 + 0.95 * rng.random::<f64>());
-        let threads = 2 + (rng.random::<u32>() as usize) % 7;
-        let (metrics, report) = HybridSystem::new(cfg.clone(), spec)
-            .expect("valid")
-            .run_threads_report(threads, Some(window));
-        assert!(!report.serial, "case {case}: window {window} fell back");
-        assert_eq!(
-            serial, metrics,
-            "case {case}: window={window} threads={threads}"
-        );
-    }
-}
-
-/// `--sim-threads` composes with the experiment engine's `--jobs`:
-/// replicating through the speculative executor is bit-identical to
-/// the serial engine for every (jobs, sim-threads) pair.
-#[test]
-fn sim_threads_compose_with_jobs() {
-    let cfg = quick_config();
-    let spec = RouterSpec::Static { p_ship: 0.5 };
-    let reference = replicate_jobs(&cfg, spec, 3, 1).expect("valid");
-    for jobs in [1, 2] {
-        for threads in [1, 4] {
-            let engine: Vec<_> = (0..3u64)
-                .map(|k| {
-                    let seed = derive_seed(cfg.seed, NO_RATE_INDEX, strategy_tag(&spec), k);
-                    run_simulation_threads(cfg.clone().with_seed(seed), spec, threads)
-                        .expect("valid")
-                })
-                .collect();
-            let engine_jobs = replicate_jobs(&cfg, spec, 3, jobs).expect("valid");
-            assert_eq!(reference, engine_jobs, "jobs={jobs}");
-            assert_eq!(reference, engine, "sim-threads={threads} jobs={jobs}");
         }
     }
 }

@@ -14,10 +14,10 @@
 //! stamp), an explicit wait-for graph over slots is updated incrementally
 //! on grant/enqueue/release, and waiter queues live in an arena addressed
 //! by stable `u32` handles with free-list reuse — so the release paths
-//! never scan the table. A deadlock verdict returns at once when no edge
-//! enters the probed owner and otherwise walks holder edges alone,
-//! without hashing; the full cycle is searched only when one exists and
-//! a caller asks for its members. The earlier scan-based semantics are
+//! never scan the table. Both deadlock probes return at once when no
+//! edge enters the probed owner. Past that exit a verdict walks holder
+//! edges alone, without hashing, and a caller that asks for the cycle's
+//! members gets one depth-first search. The earlier scan-based semantics are
 //! preserved verbatim as [`model::ReferenceLockTable`], the oracle for
 //! the model-based differential suite in `tests/differential.rs` and the
 //! baseline for the `lock_bench` microbenchmark.

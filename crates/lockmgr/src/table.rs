@@ -787,17 +787,11 @@ impl LockTable {
     /// stamps, so a hop reads arrays and hashes nothing.
     #[must_use]
     pub fn in_deadlock(&self, owner: OwnerId) -> bool {
-        let Some(&root) = self.slot_of.get(&owner) else {
+        let Some(root) = self.probe_root(owner) else {
             return false;
         };
         let r = &self.slots[root as usize];
-        if r.wait == NIL {
-            return false;
-        }
         let node = &self.arena[r.wait as usize];
-        if r.holder_in == 0 && node.next == NIL {
-            return false;
-        }
         if node.prev != NIL && r.held.contains(&node.lock) {
             return true;
         }
@@ -840,20 +834,21 @@ impl LockTable {
     /// Returns the members of a wait-for cycle through `owner` (the victim
     /// candidates), or an empty vector if `owner` is not deadlocked.
     ///
-    /// Returns empty unless [`LockTable::in_deadlock`] finds a cycle.
-    /// Otherwise the cycle is found by depth-first search from `owner`
-    /// along the pre-built wait-for edges, queue edges included; every
-    /// returned member is currently waiting (or is `owner` itself, which
-    /// is about to wait). The search visits the blockers of each owner
-    /// last-first, as the reference model's stack does, so the reported
-    /// cycle — members and order, which victim selection depends on — is
-    /// identical to the reference model's.
+    /// Takes the same early exit as [`LockTable::in_deadlock`] when no
+    /// wait-for edge enters `owner`. Otherwise the cycle is found by
+    /// depth-first search from `owner` along the pre-built wait-for
+    /// edges, queue edges included; the search is exact, so it returns
+    /// empty when there is no cycle. Every returned member is currently
+    /// waiting (or is `owner` itself, which is about to wait). The search
+    /// visits the blockers of each owner last-first, as the reference
+    /// model's stack does, so the reported cycle — members and order,
+    /// which victim selection depends on — is identical to the reference
+    /// model's.
     #[must_use]
     pub fn deadlock_cycle(&self, owner: OwnerId) -> Vec<OwnerId> {
-        if !self.in_deadlock(owner) {
+        let Some(root) = self.probe_root(owner) else {
             return Vec::new();
-        }
-        let root = self.slot_of[&owner];
+        };
         let r = &self.slots[root as usize];
         let stamp = self.next_stamp();
         // The frames hold the path from `owner` to the current waiter,
@@ -894,6 +889,20 @@ impl LockTable {
                 }
             };
         }
+    }
+
+    /// The exact early exit shared by both deadlock probes: `owner`'s
+    /// slot if it waits and some wait-for edge enters it (a waiter holds
+    /// a holder edge to it, or someone queues behind it), `None` when no
+    /// cycle can pass through it.
+    fn probe_root(&self, owner: OwnerId) -> Option<u32> {
+        let &root = self.slot_of.get(&owner)?;
+        let r = &self.slots[root as usize];
+        if r.wait == NIL {
+            return None;
+        }
+        let entered = r.holder_in > 0 || self.arena[r.wait as usize].next != NIL;
+        entered.then_some(root)
     }
 
     /// Advances the probe stamp. Slots carry a stamp of the last probe
@@ -1546,9 +1555,9 @@ mod tests {
         for _ in 0..4 {
             assert_eq!(t.deadlock_cycle(o(2)), vec![o(2), o(1)]);
         }
-        // Each call takes three stamps, two for the verdict and one for
-        // the search: u32::MAX, then 1 to 11.
-        assert_eq!(t.stamp.get(), 11, "the stamp skips 0 when it wraps");
+        // Each call takes one stamp, for the search: u32::MAX, then 1
+        // to 3.
+        assert_eq!(t.stamp.get(), 3, "the stamp skips 0 when it wraps");
     }
 
     #[test]

@@ -171,110 +171,6 @@ pub struct Envelope<P> {
     pub payload: P,
 }
 
-/// Snapshot of the five traffic counters of a [`StarNetwork`].
-///
-/// The speculative window executor runs one network replica per partition
-/// worker; each replica counts only the sends issued by its own partition.
-/// At run finalization the per-replica counters are summed back into one
-/// total with [`StarNetwork::absorb_counters`], which must reproduce the
-/// serial run's totals exactly (every send happens in exactly one
-/// partition).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetCounters {
-    /// Messages accepted for delivery (site links, both directions, plus
-    /// the shard interconnect).
-    pub messages: u64,
-    /// Accepted messages from local sites to the central complex.
-    pub messages_up: u64,
-    /// Accepted messages from the central complex to local sites.
-    pub messages_down: u64,
-    /// Accepted messages between central shards (zero when the complex is
-    /// a single node).
-    pub cross: u64,
-    /// Send attempts refused because the link was down.
-    pub dropped: u64,
-    /// Accepted messages transmitted while the link was slowed.
-    pub delayed: u64,
-}
-
-impl NetCounters {
-    /// Counter-wise difference `self - earlier`, i.e. the traffic between
-    /// two snapshots of the same network.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any counter went backwards (the snapshots are from
-    /// different networks or taken out of order).
-    #[must_use]
-    pub fn since(self, earlier: NetCounters) -> NetCounters {
-        let sub = |now: u64, then: u64| {
-            now.checked_sub(then)
-                .expect("network counter went backwards between snapshots")
-        };
-        NetCounters {
-            messages: sub(self.messages, earlier.messages),
-            messages_up: sub(self.messages_up, earlier.messages_up),
-            messages_down: sub(self.messages_down, earlier.messages_down),
-            cross: sub(self.cross, earlier.cross),
-            dropped: sub(self.dropped, earlier.dropped),
-            delayed: sub(self.delayed, earlier.delayed),
-        }
-    }
-}
-
-/// A staging buffer for cross-partition sends during speculative window
-/// execution.
-///
-/// Partition workers must not touch each other's event queues mid-window,
-/// so instead of scheduling the arrival event directly the sending worker
-/// stages the computed [`Envelope`] here. At the window barrier the driver
-/// drains the buffer and inserts the arrivals into the owning partitions'
-/// queues in the globally replayed (deterministic) order.
-///
-/// Entries are handed back in staging order; the driver — not this type —
-/// is responsible for the global merge order.
-#[derive(Debug, Clone)]
-pub struct SendBuffer<P> {
-    staged: Vec<Envelope<P>>,
-}
-
-impl<P> Default for SendBuffer<P> {
-    fn default() -> Self {
-        SendBuffer::new()
-    }
-}
-
-impl<P> SendBuffer<P> {
-    /// Creates an empty buffer.
-    #[must_use]
-    pub fn new() -> Self {
-        SendBuffer { staged: Vec::new() }
-    }
-
-    /// Stages an envelope for delivery at the next window barrier.
-    pub fn stage(&mut self, envelope: Envelope<P>) {
-        self.staged.push(envelope);
-    }
-
-    /// Removes and returns all staged envelopes in staging order, leaving
-    /// the buffer empty (and its capacity intact for the next window).
-    pub fn drain(&mut self) -> Vec<Envelope<P>> {
-        std::mem::take(&mut self.staged)
-    }
-
-    /// Number of currently staged envelopes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.staged.len()
-    }
-
-    /// `true` when nothing is staged.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.staged.is_empty()
-    }
-}
-
 /// Star topology: every local site has a full-duplex link to the central
 /// complex. Local sites do not talk to each other directly (matching the
 /// paper's architecture, Figure 2.1).
@@ -656,30 +552,6 @@ impl StarNetwork {
     pub fn messages_delayed(&self) -> u64 {
         self.delayed
     }
-
-    /// Snapshot of all five traffic counters.
-    #[must_use]
-    pub fn counters(&self) -> NetCounters {
-        NetCounters {
-            messages: self.messages,
-            messages_up: self.messages_up,
-            messages_down: self.messages_down,
-            cross: self.cross,
-            dropped: self.dropped,
-            delayed: self.delayed,
-        }
-    }
-
-    /// Adds a delta of counters produced elsewhere (a partition worker's
-    /// network replica) into this network's totals.
-    pub fn absorb_counters(&mut self, delta: NetCounters) {
-        self.messages += delta.messages;
-        self.messages_up += delta.messages_up;
-        self.messages_down += delta.messages_down;
-        self.cross += delta.cross;
-        self.dropped += delta.dropped;
-        self.delayed += delta.delayed;
-    }
 }
 
 #[cfg(test)]
@@ -882,78 +754,5 @@ mod tests {
     fn slow_factor_below_one_is_rejected() {
         let mut net = StarNetwork::new(1, d(0.1));
         net.set_slow_factor(0, 0.5);
-    }
-
-    #[test]
-    fn counters_snapshot_and_delta() {
-        let mut net = StarNetwork::new(2, d(0.2));
-        net.send(t(0.0), NodeId::local(0), NodeId::CENTRAL, ());
-        let before = net.counters();
-        net.send(t(0.1), NodeId::CENTRAL, NodeId::local(1), ());
-        net.set_link_up(1, false);
-        let _ = net.try_send(t(0.2), NodeId::local(1), NodeId::CENTRAL, ());
-        let delta = net.counters().since(before);
-        assert_eq!(
-            delta,
-            NetCounters {
-                messages: 1,
-                messages_up: 0,
-                messages_down: 1,
-                cross: 0,
-                dropped: 1,
-                delayed: 0,
-            }
-        );
-    }
-
-    #[test]
-    fn absorb_counters_reproduces_merged_totals() {
-        // Two partition replicas each carry part of the traffic; the merged
-        // totals must match one network that carried all of it.
-        let mut serial = StarNetwork::new(2, d(0.2));
-        serial.send(t(0.0), NodeId::local(0), NodeId::CENTRAL, ());
-        serial.send(t(0.0), NodeId::local(1), NodeId::CENTRAL, ());
-        serial.send(t(0.3), NodeId::CENTRAL, NodeId::local(0), ());
-
-        let mut worker0 = StarNetwork::new(2, d(0.2));
-        let mut worker1 = StarNetwork::new(2, d(0.2));
-        let mut central = StarNetwork::new(2, d(0.2));
-        worker0.send(t(0.0), NodeId::local(0), NodeId::CENTRAL, ());
-        worker1.send(t(0.0), NodeId::local(1), NodeId::CENTRAL, ());
-        central.send(t(0.3), NodeId::CENTRAL, NodeId::local(0), ());
-
-        let mut merged = StarNetwork::new(2, d(0.2));
-        for replica in [&worker0, &worker1, &central] {
-            merged.absorb_counters(replica.counters());
-        }
-        assert_eq!(merged.counters(), serial.counters());
-        assert_eq!(merged.messages_sent(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "went backwards")]
-    fn counter_delta_refuses_reversed_snapshots() {
-        let mut net = StarNetwork::new(1, d(0.1));
-        let early = net.counters();
-        net.send(t(0.0), NodeId::local(0), NodeId::CENTRAL, ());
-        let _ = early.since(net.counters());
-    }
-
-    #[test]
-    fn send_buffer_stages_and_drains_in_order() {
-        let mut net = StarNetwork::new(2, d(0.2));
-        let mut buf = SendBuffer::new();
-        assert!(buf.is_empty());
-        buf.stage(net.send(t(0.0), NodeId::local(1), NodeId::CENTRAL, 'b'));
-        buf.stage(net.send(t(0.0), NodeId::local(0), NodeId::CENTRAL, 'a'));
-        assert_eq!(buf.len(), 2);
-        let drained = buf.drain();
-        assert_eq!(
-            drained.iter().map(|e| e.payload).collect::<Vec<_>>(),
-            vec!['b', 'a'],
-            "staging order is preserved; global ordering is the driver's job"
-        );
-        assert!(buf.is_empty());
-        assert!(buf.drain().is_empty());
     }
 }

@@ -1,6 +1,6 @@
 //! Deterministic event queue for discrete-event simulation.
 //!
-//! This is the indexed implementation (ISSUE 5): a hand-rolled four-ary
+//! This is the indexed implementation: a hand-rolled four-ary
 //! min-heap over a slab of event nodes, replacing the original
 //! `BinaryHeap` + tombstone-set queue (preserved as
 //! [`ReferenceQueue`](crate::model::ReferenceQueue), the oracle for the
@@ -31,33 +31,19 @@ use crate::time::SimTime;
 /// Handle to a pending event, returned by [`EventQueue::schedule_keyed`]
 /// and consumed by [`EventQueue::cancel`].
 ///
-/// Keys are intentionally not `Copy`: a key must be cancelled at most
-/// once, and only while its event is still pending. Cancelling a key
-/// whose event has already fired panics in debug builds and in builds
-/// with the `strict-queue` feature (the queue tracks occupancy, so stale
-/// keys are detected exactly) and is a documented no-op in plain release
-/// builds. Use [`EventQueue::try_cancel`] for the checked error path.
-/// Keys are `Clone` only so that queue snapshots (taken by the
-/// speculative executor for rollback) can be stored alongside the keys
-/// that index into them; a cloned key is subject to the same
-/// single-cancel discipline against whichever queue instance it targets.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Keys are intentionally neither `Copy` nor `Clone`: a key must be
+/// cancelled at most once, and only while its event is still pending.
+/// Cancelling a key whose event has already fired panics in debug builds
+/// (the queue tracks occupancy, so stale keys are detected exactly) and
+/// is a documented no-op in release builds. Use
+/// [`EventQueue::try_cancel`] for the checked error path.
+#[derive(Debug, PartialEq, Eq)]
 pub struct EventKey {
     /// Slab index of the event's node.
     node: u32,
     /// Schedule sequence number; doubles as the node's generation, since
     /// a reused node always carries a fresh (strictly larger) `seq`.
     seq: u64,
-}
-
-impl EventKey {
-    /// The schedule sequence number this key was issued with. Unique per
-    /// queue for the queue's lifetime; used by the speculative executor
-    /// to correlate schedule calls with later pops.
-    #[must_use]
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
 }
 
 /// Error returned by [`EventQueue::try_cancel`] for a key whose event
@@ -83,32 +69,20 @@ impl std::fmt::Display for StaleKeyError {
 
 impl std::error::Error for StaleKeyError {}
 
-/// Tie-break priority of events scheduled without an explicit priority:
-/// they sort after any same-time event that was assigned one, in
-/// schedule (FIFO) order among themselves.
-const DEFAULT_PRI: u64 = u64::MAX;
-
 /// A heap element: the ordering key plus the slab index of its payload.
 #[derive(Debug, Clone, Copy)]
 struct HeapEntry {
     at: SimTime,
-    /// Secondary key ordered before `seq` — [`DEFAULT_PRI`] unless
-    /// [`EventQueue::set_priority`] assigned one. The serial simulator
-    /// never assigns priorities, so its order is pure `(time, seq)`
-    /// FIFO; the speculative executor re-keys surviving entries with
-    /// their global serial stamps at window barriers so that exact-time
-    /// ties across partitions pop in serial order.
-    pri: u64,
     seq: u64,
     node: u32,
 }
 
 impl HeapEntry {
-    /// Strict `(time, pri, seq)` lexicographic order; `seq` is unique, so
-    /// this is total and exactly reproduces FIFO tie-breaking.
+    /// Strict `(time, seq)` lexicographic order; `seq` is unique, so this
+    /// is total and exactly reproduces FIFO tie-breaking.
     #[inline]
     fn precedes(&self, other: &HeapEntry) -> bool {
-        (self.at, self.pri, self.seq) < (other.at, other.pri, other.seq)
+        (self.at, self.seq) < (other.at, other.seq)
     }
 }
 
@@ -159,10 +133,6 @@ pub struct EventQueue<E> {
     free: Vec<u32>,
     seq: u64,
     now: SimTime,
-    /// When `Some`, every schedule appends `(at, key)` here — the
-    /// speculative executor's per-window schedule log. `None` (the
-    /// serial default) costs one predicted branch per schedule.
-    tracking: Option<Vec<(SimTime, EventKey)>>,
 }
 
 /// Children of heap position `i` start at `4 * i + 1`.
@@ -178,7 +148,6 @@ impl<E> EventQueue<E> {
             free: Vec::new(),
             seq: 0,
             now: SimTime::ZERO,
-            tracking: None,
         }
     }
 
@@ -234,16 +203,8 @@ impl<E> EventQueue<E> {
                 slot
             }
         };
-        self.heap.push(HeapEntry {
-            at,
-            pri: DEFAULT_PRI,
-            seq,
-            node,
-        });
+        self.heap.push(HeapEntry { at, seq, node });
         self.sift_up(pos as usize);
-        if let Some(log) = &mut self.tracking {
-            log.push((at, EventKey { node, seq }));
-        }
         EventKey { node, seq }
     }
 
@@ -253,27 +214,24 @@ impl<E> EventQueue<E> {
     ///
     /// # Panics
     ///
-    /// In debug builds and in builds with the `strict-queue` feature,
-    /// panics if the key's event has already fired — the queue knows
-    /// node occupancy, so the stale key is detected instead of silently
-    /// corrupting the pending-event accounting (the documented hole in
-    /// the pre-rewrite queue). Plain release builds treat a stale key as
-    /// a no-op; use [`EventQueue::try_cancel`] when the caller wants the
-    /// checked error path regardless of build flavour.
+    /// In debug builds, panics if the key's event has already fired —
+    /// the queue knows node occupancy, so the stale key is detected
+    /// instead of silently corrupting the pending-event accounting (the
+    /// documented hole in the pre-rewrite queue). Release builds treat a
+    /// stale key as a no-op; use [`EventQueue::try_cancel`] when the
+    /// caller wants the checked error path regardless of build flavour.
     pub fn cancel(&mut self, key: EventKey) {
         if let Err(stale) = self.try_cancel(key) {
-            #[cfg(any(debug_assertions, feature = "strict-queue"))]
+            #[cfg(debug_assertions)]
             panic!("{stale}");
-            #[cfg(not(any(debug_assertions, feature = "strict-queue")))]
+            #[cfg(not(debug_assertions))]
             let _ = stale;
         }
     }
 
     /// Cancels a pending event in O(log n), or reports a
     /// [`StaleKeyError`] if the key's event already fired or was already
-    /// cancelled — never panics. This is the path the speculative
-    /// executor's rollback uses: a stale key after a window re-execution
-    /// is a detected conflict symptom, not silent FIFO corruption.
+    /// cancelled — never panics.
     ///
     /// # Errors
     ///
@@ -298,58 +256,6 @@ impl<E> EventQueue<E> {
         Ok(())
     }
 
-    /// Assigns the tie-break priority of a pending event (lower fires
-    /// first among same-time events; unassigned events sort last in FIFO
-    /// order). Returns `false` without touching the queue if the key is
-    /// stale. Used by the speculative executor to re-key window
-    /// survivors with their global serial stamps so that exact-time ties
-    /// across partitions pop in serial order.
-    pub fn set_priority(&mut self, key: &EventKey, pri: u64) -> bool {
-        let alive = (key.node as usize) < self.nodes.len()
-            && self.nodes[key.node as usize].seq == key.seq
-            && self.nodes[key.node as usize].event.is_some();
-        if !alive {
-            return false;
-        }
-        let pos = self.nodes[key.node as usize].pos as usize;
-        debug_assert_eq!(self.heap[pos].node, key.node, "heap position index drifted");
-        self.heap[pos].pri = pri;
-        if pos > 0 && self.heap[pos].precedes(&self.heap[(pos - 1) / ARITY]) {
-            self.sift_up(pos);
-        } else {
-            self.sift_down(pos);
-        }
-        true
-    }
-
-    /// Starts or stops recording `(time, key)` for every schedule call
-    /// (see [`EventQueue::take_tracked`]). Tracking is off by default and
-    /// the serial simulator never enables it.
-    pub fn set_tracking(&mut self, on: bool) {
-        if on {
-            if self.tracking.is_none() {
-                self.tracking = Some(Vec::new());
-            }
-        } else {
-            self.tracking = None;
-        }
-    }
-
-    /// Drains the schedule log recorded since tracking was enabled (or
-    /// last drained), leaving tracking on. Empty when tracking is off.
-    pub fn take_tracked(&mut self) -> Vec<(SimTime, EventKey)> {
-        match &mut self.tracking {
-            Some(log) => std::mem::take(log),
-            None => Vec::new(),
-        }
-    }
-
-    /// Number of schedule calls recorded since the log was last drained.
-    #[must_use]
-    pub fn tracked_len(&self) -> usize {
-        self.tracking.as_ref().map_or(0, Vec::len)
-    }
-
     /// Removes and returns the next event, advancing the clock to its firing
     /// time. Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
@@ -362,31 +268,10 @@ impl<E> EventQueue<E> {
         Some((head.at, event))
     }
 
-    /// Removes and returns the next event together with its tie-break
-    /// priority and schedule sequence number. Identical to
-    /// [`EventQueue::pop`] otherwise; the extra metadata feeds the
-    /// speculative executor's replay merge.
-    pub fn pop_entry(&mut self) -> Option<(SimTime, u64, u64, E)> {
-        let head = *self.heap.first()?;
-        self.remove_at(0);
-        self.now = head.at;
-        let n = &mut self.nodes[head.node as usize];
-        let event = n.event.take().expect("heap entry points at empty node");
-        self.free.push(head.node);
-        Some((head.at, head.pri, head.seq, event))
-    }
-
     /// Returns the firing time of the next event without removing it.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.first().map(|e| e.at)
-    }
-
-    /// Returns `(time, priority, seq)` of the next event without
-    /// removing it.
-    #[must_use]
-    pub fn peek_entry(&self) -> Option<(SimTime, u64, u64)> {
-        self.heap.first().map(|e| (e.at, e.pri, e.seq))
     }
 
     /// Number of pending events.
@@ -684,67 +569,10 @@ mod tests {
     }
 
     #[test]
-    fn priorities_break_same_time_ties_before_fifo() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_secs(1.0);
-        let a = q.schedule_keyed(t, "a");
-        let b = q.schedule_keyed(t, "b");
-        q.schedule(t, "c"); // no priority: sorts after any assigned one
-        assert!(q.set_priority(&b, 10));
-        assert!(q.set_priority(&a, 20));
-        q.check_invariants();
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!["b", "a", "c"]);
-    }
-
-    #[test]
-    fn set_priority_on_stale_key_is_refused() {
-        let mut q = EventQueue::new();
-        let key = q.schedule_keyed(SimTime::from_secs(1.0), ());
-        q.pop();
-        assert!(!q.set_priority(&key, 0));
-        q.check_invariants();
-    }
-
-    #[test]
-    fn priority_does_not_override_time_order() {
-        let mut q = EventQueue::new();
-        let late = q.schedule_keyed(SimTime::from_secs(2.0), "late");
-        q.schedule(SimTime::from_secs(1.0), "early");
-        assert!(q.set_priority(&late, 0));
-        assert_eq!(q.pop().map(|(_, e)| e), Some("early"));
-        assert_eq!(q.pop().map(|(_, e)| e), Some("late"));
-    }
-
-    #[test]
-    fn tracking_records_schedules_until_drained() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(1.0), 1);
-        q.set_tracking(true);
-        let key = q.schedule_keyed(SimTime::from_secs(2.0), 2);
-        q.schedule(SimTime::from_secs(3.0), 3);
-        assert_eq!(q.tracked_len(), 2);
-        let log = q.take_tracked();
-        assert_eq!(log.len(), 2);
-        assert_eq!(log[0].0, SimTime::from_secs(2.0));
-        assert_eq!(log[0].1, key);
-        assert_eq!(q.tracked_len(), 0);
-        q.schedule(SimTime::from_secs(4.0), 4);
-        assert_eq!(q.take_tracked().len(), 1);
-        q.set_tracking(false);
-        q.schedule(SimTime::from_secs(5.0), 5);
-        assert!(q.take_tracked().is_empty());
-    }
-
-    #[test]
-    fn pop_entry_exposes_priority_and_seq() {
-        let mut q = EventQueue::new();
-        let key = q.schedule_keyed(SimTime::from_secs(1.0), "x");
-        assert!(q.set_priority(&key, 7));
-        assert_eq!(q.peek_entry(), Some((SimTime::from_secs(1.0), 7, 0)));
-        let (at, pri, seq, ev) = q.pop_entry().unwrap();
-        assert_eq!((at, pri, seq, ev), (SimTime::from_secs(1.0), 7, 0, "x"));
-        assert_eq!(key.seq(), 0);
+    fn heap_entries_are_24_byte_triples() {
+        // The module docs promise `(time, seq, node)` triples of 24 bytes:
+        // sifting moves only these, so their size is the heap's cost.
+        assert_eq!(std::mem::size_of::<HeapEntry>(), 24);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Reference model of the event queue — the pre-ISSUE-5 implementation,
-//! preserved verbatim as the differential-test oracle.
+//! Reference model of the event queue — the implementation the indexed
+//! queue replaced, preserved verbatim as the differential-test oracle.
 //!
 //! [`ReferenceQueue`] is the `BinaryHeap` + tombstone-set queue the
 //! simulator shipped with before the indexed rewrite: cancellation is
@@ -14,8 +14,7 @@
 //! metrics were recorded against. The differential suite in
 //! `tests/queue_differential.rs` replays random schedule / pop / cancel
 //! interleavings through both implementations and asserts identical
-//! observables after every operation; `hls-bench`'s `sim_bench` replays
-//! whole simulator runs through it to measure the rewrite's speedup.
+//! observables after every operation.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
@@ -28,9 +27,7 @@ use crate::time::SimTime;
 /// once, and only while its event is still pending (cancelling a key
 /// whose event has already fired is a logic error this queue cannot
 /// detect — the indexed queue can, and panics in debug builds).
-/// `Clone` exists only so enclosing key enums stay cloneable for queue
-/// snapshots; a cloned key carries the same single-cancel discipline.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct ReferenceEventKey(u64);
 
 /// The scan-era event queue: `BinaryHeap` ordered by `(time, seq)` with

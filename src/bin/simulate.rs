@@ -4,7 +4,7 @@
 //! simulate [--rate TPS] [--delay SECS] [--policy NAME] [--sites N]
 //!          [--p-local F] [--lockspace N] [--sim-time SECS] [--warmup SECS]
 //!          [--seed N] [--threshold F] [--p-ship F] [--ideal-state]
-//!          [--reps N] [--jobs N] [--sim-threads N] [--ci-target F] [--max-reps N]
+//!          [--reps N] [--jobs N] [--ci-target F] [--max-reps N]
 //!          [--fault-schedule FILE] [--failure-aware]
 //!          [--obs] [--profile] [--trace-out FILE] [--backoff-window SECS]
 //!          [--placement POLICY] [--drift SPEC]
@@ -21,14 +21,6 @@
 //! reported. `--ci-target 0.05` keeps adding replications (up to
 //! `--max-reps`) until the relative half-width of mean response drops
 //! below 5%. Results are bit-identical for any `--jobs` value.
-//!
-//! `--sim-threads N` executes each simulation run itself on `N` worker
-//! threads via the speculative window executor — bit-identical metrics
-//! for every `N`, so it is purely a wall-clock knob. It composes with
-//! `--reps`/`--jobs`: `--jobs` fans replications across cores,
-//! `--sim-threads` parallelizes inside each run (configurations the
-//! executor does not support — fault schedules, tracing, profiling —
-//! quietly take the serial path).
 //!
 //! `--fault-schedule FILE` injects a deterministic fault schedule (see
 //! [`FaultSchedule::parse`] for the line format); `--failure-aware` wraps
@@ -53,8 +45,7 @@
 //! against the live map); `--drift hot[:DWELL[:FRAC]]`,
 //! `--drift diurnal[:PERIOD[:AMP]]`, or `--drift zipf[:THETA]` makes the
 //! workload's locality shift over simulated time so there is something
-//! to adapt to. Both run on the serial event loop (`--sim-threads` must
-//! stay 1; `--jobs` replication still composes).
+//! to adapt to. Both compose with `--jobs` replication.
 //!
 //! Heterogeneous topologies: `--islands K[:INTRA:INTER[:CENTRAL]]`
 //! splits the sites into `K` contiguous hardware islands with cheap
@@ -67,17 +58,15 @@
 //! node the central complex) for shapes islands cannot express; it is
 //! mutually exclusive with `--islands`. The `island-aware` policies
 //! price shipping with the arriving site's actual link delay instead of
-//! the nominal `--delay`. Non-uniform link delays quietly take the
-//! serial path under `--sim-threads`.
+//! the nominal `--delay`.
 
 use std::process::ExitCode;
 
 use hybrid_load_sharing::core::{
-    optimal_static_spec, replicate_ci, replicate_jobs, replicate_jobs_threads,
-    run_simulation_threads, summarize, CiOptions, DelayMatrix, DriftSpec, FaultSchedule,
-    HybridSystem, IslandSpec, JsonlSink, LogHistogram, MetricSummary, ObsConfig, ObsReport,
-    PlacementConfig, PlacementPolicy, Route, RouterSpec, RunMetrics, SystemConfig, TxnClass,
-    UtilizationEstimator,
+    optimal_static_spec, replicate_ci, replicate_jobs, run_simulation, summarize, CiOptions,
+    DelayMatrix, DriftSpec, FaultSchedule, HybridSystem, IslandSpec, JsonlSink, LogHistogram,
+    MetricSummary, ObsConfig, ObsReport, PlacementConfig, PlacementPolicy, Route, RouterSpec,
+    RunMetrics, SystemConfig, TxnClass, UtilizationEstimator,
 };
 
 #[derive(Debug)]
@@ -96,7 +85,6 @@ struct Args {
     ideal_state: bool,
     reps: u64,
     jobs: Option<usize>,
-    sim_threads: usize,
     ci_target: Option<f64>,
     max_reps: Option<u64>,
     fault_schedule: Option<String>,
@@ -134,7 +122,6 @@ impl Args {
             ideal_state: false,
             reps: 1,
             jobs: None,
-            sim_threads: 1,
             ci_target: None,
             max_reps: None,
             fault_schedule: None,
@@ -173,7 +160,6 @@ impl Args {
                 "--ideal-state" => a.ideal_state = true,
                 "--reps" => a.reps = parse(value()?)?,
                 "--jobs" => a.jobs = Some(parse(value()?)?),
-                "--sim-threads" => a.sim_threads = parse(value()?)?,
                 "--ci-target" => a.ci_target = Some(parse(value()?)?),
                 "--max-reps" => a.max_reps = Some(parse(value()?)?),
                 "--fault-schedule" => a.fault_schedule = Some(value()?.to_string()),
@@ -256,13 +242,6 @@ impl Args {
                 ));
             }
         }
-        if self.sim_threads == 0 {
-            return Err(
-                "--sim-threads 0 is ambiguous: pass --sim-threads N with N >= 1 \
-                 worker threads (1 = the serial event loop)"
-                    .into(),
-            );
-        }
         if self.jobs == Some(0) {
             return Err(
                 "--jobs 0 is ambiguous: pass --jobs N with N >= 1 worker threads, \
@@ -271,7 +250,7 @@ impl Args {
             );
         }
         // Parse errors surface here so a bad spec fails before any run.
-        let placement = self.placement_config()?;
+        self.placement_config()?;
         if let Some(d) = &self.drift {
             DriftSpec::parse(d)?;
         }
@@ -285,16 +264,6 @@ impl Args {
         self.island_spec()?;
         self.link_matrix_spec()?;
         self.site_mips_vec()?;
-        if self.sim_threads > 1
-            && (self.drift.is_some() || placement.is_some_and(|p| p.is_adaptive()))
-        {
-            return Err(
-                "adaptive placement and workload drift run on the serial event loop \
-                 (migrations are global state the speculative executor cannot window); \
-                 drop --sim-threads, or use --jobs to parallelize replications instead"
-                    .into(),
-            );
-        }
         match (self.ci_target, self.max_reps) {
             (Some(t), _) if !(t > 0.0 && t < 1.0) => Err(format!(
                 "--ci-target is a relative half-width and must lie in (0, 1) (got {t})"
@@ -483,7 +452,7 @@ fn usage() {
         "usage: simulate [--rate TPS] [--delay SECS] [--policy NAME] [--sites N]\n\
          \x20               [--p-local F] [--lockspace N] [--sim-time SECS] [--warmup SECS]\n\
          \x20               [--seed N] [--threshold F] [--p-ship F] [--ideal-state]\n\
-         \x20               [--reps N] [--jobs N] [--sim-threads N] [--ci-target F] [--max-reps N]\n\
+         \x20               [--reps N] [--jobs N] [--ci-target F] [--max-reps N]\n\
          \x20               [--fault-schedule FILE] [--failure-aware]\n\
          \x20               [--obs] [--profile] [--trace-out FILE] [--backoff-window SECS]\n\
          \x20               [--placement POLICY] [--drift SPEC]\n\
@@ -494,9 +463,7 @@ fn usage() {
          replication: --reps runs N seed replications in parallel (--jobs\n\
          \x20         worker threads, omit for all cores) and reports mean +/- 95% CI;\n\
          \x20         --ci-target R auto-replicates until the relative CI\n\
-         \x20         half-width of mean response is <= R (cap: --max-reps);\n\
-         \x20         --sim-threads N runs each simulation on N threads\n\
-         \x20         (bit-identical for every N; composes with --jobs)\n\
+         \x20         half-width of mean response is <= R (cap: --max-reps)\n\
          faults: --fault-schedule FILE injects `site I down FROM TO`,\n\
          \x20         `central down FROM TO`, `link I down FROM TO`,\n\
          \x20         `link I slow FROM TO xF`, `partition I,J FROM TO` lines;\n\
@@ -509,15 +476,14 @@ fn usage() {
          placement: --placement static|threshold[:FRAC]|epoch runs the online\n\
          \x20         placement controller; --drift hot[:DWELL[:FRAC]] |\n\
          \x20         diurnal[:PERIOD[:AMP]] | zipf[:THETA] shifts workload\n\
-         \x20         locality over time (serial event loop only)\n\
+         \x20         locality over time\n\
          topology: --islands K[:INTRA:INTER[:CENTRAL]] groups sites into K\n\
          \x20         hardware islands (cheap intra-island links, INTER to the\n\
          \x20         central complex placed in island CENTRAL; bare K uses\n\
          \x20         --delay for both); --site-mips LIST sets per-site speeds\n\
          \x20         in MIPS (one value broadcasts); --link-matrix R0;R1;...\n\
          \x20         gives explicit per-link delays ((sites+1)^2 entries, last\n\
-         \x20         node central; mutually exclusive with --islands);\n\
-         \x20         non-uniform delays run on the serial event loop"
+         \x20         node central; mutually exclusive with --islands)"
     );
 }
 
@@ -590,10 +556,6 @@ fn run_replicated(args: &Args, cfg: &SystemConfig, spec: RouterSpec) -> ExitCode
             },
         )
         .map(|ci| (ci.runs, Some(ci.target_met))),
-        None if args.sim_threads > 1 => {
-            replicate_jobs_threads(cfg, spec, args.reps, jobs, args.sim_threads)
-                .map(|runs| (runs, None))
-        }
         None => replicate_jobs(cfg, spec, args.reps, jobs).map(|runs| (runs, None)),
     };
     let (runs, target_met) = match outcome {
@@ -770,7 +732,7 @@ fn main() -> ExitCode {
         }
         m
     } else {
-        match run_simulation_threads(cfg, spec, args.sim_threads) {
+        match run_simulation(cfg, spec) {
             Ok(m) => m,
             Err(e) => {
                 eprintln!("{e}");
@@ -908,27 +870,11 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_runs_reject_speculative_threads() {
-        for argv in [
-            &["--placement", "threshold", "--sim-threads", "4"][..],
-            &["--placement", "epoch", "--sim-threads", "2"],
-            &["--drift", "hot", "--sim-threads", "4"],
-            &[
-                "--placement",
-                "static",
-                "--drift",
-                "diurnal",
-                "--sim-threads",
-                "2",
-            ],
-        ] {
-            let e = parse_args(argv).expect_err("must reject");
-            assert!(e.contains("serial event loop"), "unhelpful error: {e}");
-        }
-        // A static policy with no drift never migrates: the speculative
-        // executor stays valid, as do replication workers for everyone.
-        assert!(parse_args(&["--placement", "static", "--sim-threads", "4"]).is_ok());
-        assert!(parse_args(&["--placement", "threshold", "--jobs", "8"]).is_ok());
+    fn within_run_threading_flag_is_refused() {
+        // Scripts that still pass the flag must fail loudly rather than
+        // run serially without notice.
+        let e = parse_args(&["--sim-threads", "4"]).expect_err("must reject");
+        assert_eq!(e, "unknown argument: --sim-threads");
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //! asserted byte-for-byte against the UNMODIFIED golden file of
 //! `golden_metrics.rs`. On top of that the suite pins what genuinely
 //! asymmetric topologies must still guarantee: determinism, replication
-//! fan-out equality, drained coherency convergence, and the speculative
-//! executor's serial fallback under non-uniform link delays.
+//! fan-out equality, and drained coherency convergence.
 
 use hls_core::{
     replicate_jobs, run_simulation, DeadlockVictim, FaultSchedule, IslandSpec, RouterSpec,
@@ -227,51 +226,4 @@ fn asymmetric_topology_drains_to_convergence() {
             report.in_flight_txns
         );
     }
-}
-
-/// Satellite 4 regression: the speculative window executor's window bound
-/// assumed one uniform `comm_delay`. Under non-uniform link delays it
-/// must refuse to speculate (serial fallback, identical metrics); under a
-/// *homogeneous* island spec it must stay eligible and bit-identical for
-/// any thread count.
-#[test]
-fn speculative_executor_falls_back_to_serial_under_asymmetric_delays() {
-    let cfg = asymmetric_cfg(42);
-    let serial = run_simulation(cfg.clone(), island_aware()).expect("valid");
-    let sys = hls_core::HybridSystem::new(cfg, island_aware()).expect("valid");
-    let (m, report) = sys.run_threads_report(4, None);
-    assert!(
-        report.serial,
-        "non-uniform link delays must disable speculation"
-    );
-    assert_eq!(
-        format!("{serial:#?}"),
-        format!("{m:#?}"),
-        "serial fallback changed the metrics"
-    );
-}
-
-#[test]
-fn speculative_executor_stays_eligible_under_homogeneous_islands() {
-    let base = SystemConfig::paper_default()
-        .with_total_rate(18.0)
-        .with_horizon(40.0, 8.0)
-        .with_seed(42);
-    let cfg = make_explicitly_homogeneous(base);
-    let one = {
-        let sys = hls_core::HybridSystem::new(cfg.clone(), island_aware()).expect("valid");
-        sys.run_threads_report(1, None).0
-    };
-    let sys = hls_core::HybridSystem::new(cfg, island_aware()).expect("valid");
-    let (four, report) = sys.run_threads_report(4, None);
-    assert!(
-        !report.serial,
-        "a homogeneous island spec must keep the speculative executor eligible"
-    );
-    assert!(report.windows > 0, "no speculative windows executed");
-    assert_eq!(
-        format!("{one:#?}"),
-        format!("{four:#?}"),
-        "1 vs 4 sim-threads diverged under a homogeneous island spec"
-    );
 }
