@@ -152,6 +152,9 @@ struct JobSlot<K, Y> {
 }
 
 impl<K, Y> JobSlab<K, Y> {
+    /// Bytes of one slot, the unit of [`JobSlab::approx_bytes`].
+    pub(crate) const SLOT_BYTES: usize = std::mem::size_of::<JobSlot<K, Y>>();
+
     pub(crate) fn new() -> Self {
         JobSlab {
             slots: Vec::new(),
@@ -205,8 +208,7 @@ impl<K, Y> JobSlab<K, Y> {
     /// Estimated resident bytes of the slab's backing storage, for the
     /// topology-scaling memory report.
     pub(crate) fn approx_bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<JobSlot<K, Y>>()
-            + self.free.capacity() * std::mem::size_of::<u32>()
+        self.slots.capacity() * Self::SLOT_BYTES + self.free.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Removes a job, returning its work item. `None` for unknown ids.

@@ -20,6 +20,7 @@
 //!   durable queues replayed on recovery), link outages with store-and-
 //!   forward deferral, and failure-aware routing overrides.
 
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
 use hls_analytic::Observed;
@@ -340,6 +341,11 @@ struct PlacementRt {
     /// Per-partition count of commit-message write applications still
     /// in flight from the central complex to the partition's home.
     pending_parts: Vec<u32>,
+    /// Per-partition count of master-copy keys summed over every site's
+    /// store — each migration's bulk size. Kept by
+    /// [`HybridSystem::write_master`] and the switchover, so a tick
+    /// never rescans the stores.
+    items: Vec<u64>,
     /// Scratch list of distinct partitions (reused per admission).
     scratch: Vec<u32>,
     migrations_planned: u64,
@@ -468,9 +474,10 @@ pub struct HybridSystem {
     /// Peak simultaneous in-flight transactions (scaling report).
     peak_txns: usize,
     /// When set, every lock table's `check_invariants` runs after each
-    /// event (see [`HybridSystem::run_validated`]). Test-only; off in
+    /// event and the placement item counts are checked against a rescan
+    /// (see [`HybridSystem::run_validated`]). Test-only; off in
     /// measurement runs.
-    validate_locks: bool,
+    validate: bool,
     /// Per-site CPU speed relative to `params.local_mips` (all 1.0 on
     /// homogeneous hardware); reported to routers via [`Observed`].
     site_speed: Vec<f64>,
@@ -558,6 +565,7 @@ impl HybridSystem {
                 mig_seq: 0,
                 live_parts: vec![0; geo.n_partitions()],
                 pending_parts: vec![0; geo.n_partitions()],
+                items: vec![0; geo.n_partitions()],
                 scratch: Vec::new(),
                 migrations_planned: 0,
                 migrations_completed: 0,
@@ -634,7 +642,7 @@ impl HybridSystem {
             cross_denials: 0,
             remote_grant_count: 0,
             peak_txns: 0,
-            validate_locks: false,
+            validate: false,
             placement,
             cfg,
         })
@@ -730,17 +738,25 @@ impl HybridSystem {
         (metrics, samples)
     }
 
-    /// Runs to the horizon with **lock-table validation**: after every
-    /// simulation event, each site's and the central complex's
+    /// Runs to the horizon with **validation**: after every simulation
+    /// event, each site's and the central complex's
     /// [`hls_lockmgr::LockTable::check_invariants`] is executed, so any
     /// corruption of the wait-for graph, the owner index, or the arena
     /// queues panics at the event that introduced it rather than
-    /// surfacing as skewed metrics. Orders of magnitude slower than
+    /// surfacing as skewed metrics. Under adaptive placement, the
+    /// maintained per-partition item counts are also compared with a
+    /// full rescan of the site stores at every controller tick and at
+    /// the end of the run. Orders of magnitude slower than
     /// [`HybridSystem::run`]; meant for tests (notably the fault-schedule
     /// equivalence run), not measurement.
+    ///
+    /// # Panics
+    ///
+    /// Panics at the first lock-table invariant or item count that
+    /// fails its check.
     #[must_use]
     pub fn run_validated(mut self) -> RunMetrics {
-        self.validate_locks = true;
+        self.validate = true;
         self.run_internal()
     }
 
@@ -851,9 +867,12 @@ impl HybridSystem {
             let (now, ev) = self.queue.pop().expect("peeked event");
             self.events_processed += 1;
             self.handle(now, ev);
-            if self.validate_locks {
+            if self.validate {
                 self.check_lock_invariants();
             }
+        }
+        if self.validate {
+            self.check_placement_items();
         }
         self.profiler.stop(TOTAL_KEY, total);
         self.finalize()
@@ -1727,7 +1746,7 @@ impl HybridSystem {
             for &l in &updated {
                 let stamp = self.next_write;
                 self.next_write += 1;
-                self.sites[site].store.insert(l, stamp);
+                self.write_master(site, l, stamp);
                 self.sites[site].locks.incr_coherence(l);
                 writes.push((l, stamp));
             }
@@ -2163,11 +2182,24 @@ impl HybridSystem {
         writes: &[(LockId, u64)],
     ) {
         for &(l, stamp) in writes {
-            self.sites[site].store.insert(l, stamp);
+            self.write_master(site, l, stamp);
         }
         let grants = self.sites[site].locks.release_all(OwnerId(id));
         self.resume_grants(now, &grants, Locale::Site(site));
         self.placement_commit_applied(now, writes);
+    }
+
+    /// Writes `item`'s master copy at `site`. Every site-store write
+    /// except the switchover's move goes through here, so the placement
+    /// runtime's per-partition item counts stay exact.
+    fn write_master(&mut self, site: usize, item: LockId, stamp: u64) {
+        let created = self.sites[site].store.insert(item, stamp).is_none();
+        if created {
+            if let Some(p) = self.placement.as_mut() {
+                let part = p.map.geometry().partition_of(item);
+                p.items[part as usize] += 1;
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -2241,6 +2273,9 @@ impl HybridSystem {
         if self.placement.is_none() {
             return;
         }
+        if self.validate {
+            self.check_placement_items();
+        }
         let next = now + SimDuration::from_secs(self.cfg.placement.interval);
         if next < self.end {
             self.queue.schedule(next, Ev::PlacementTick);
@@ -2250,21 +2285,13 @@ impl HybridSystem {
         if !self.central_up {
             return;
         }
-        let geo = *self.placement.as_ref().expect("checked").map.geometry();
-        // Per-partition master-copy counts — each migration's bulk size.
-        let mut items = vec![0u64; geo.n_partitions()];
-        for site in &self.sites {
-            for &item in site.store.keys() {
-                items[geo.partition_of(item) as usize] += 1;
-            }
-        }
         let plans = {
             let p = self.placement.as_mut().expect("checked");
-            let mut migrating = vec![false; geo.n_partitions()];
+            let mut migrating = vec![false; p.map.geometry().n_partitions()];
             for &part in p.active.keys() {
                 migrating[part as usize] = true;
             }
-            let plans = plan(&self.cfg.placement, &p.map, &p.stats, &items, &migrating);
+            let plans = plan(&self.cfg.placement, &p.map, &p.stats, &p.items, &migrating);
             p.stats.decay();
             plans
         };
@@ -2273,10 +2300,9 @@ impl HybridSystem {
             if !self.site_up[m.from as usize] || !self.site_up[m.to as usize] {
                 continue;
             }
-            let bytes = items[m.partition as usize] * self.cfg.placement.item_bytes;
-            let secs = bytes as f64 / self.cfg.placement.bandwidth;
-            let mig = {
+            let (mig, secs) = {
                 let p = self.placement.as_mut().expect("checked");
+                let bytes = p.items[m.partition as usize] * self.cfg.placement.item_bytes;
                 let id = p.mig_seq;
                 p.mig_seq += 1;
                 p.migrations_planned += 1;
@@ -2291,7 +2317,7 @@ impl HybridSystem {
                         parked: Vec::new(),
                     },
                 );
-                id
+                (id, bytes as f64 / self.cfg.placement.bandwidth)
             };
             self.queue.schedule(
                 now + SimDuration::from_secs(secs),
@@ -2299,6 +2325,31 @@ impl HybridSystem {
                     partition: m.partition,
                     mig,
                 },
+            );
+        }
+    }
+
+    /// Compares the maintained per-partition item counts with a full
+    /// rescan of every site's store (no-op without placement).
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the first partition whose count differs.
+    fn check_placement_items(&self) {
+        let Some(p) = self.placement.as_ref() else {
+            return;
+        };
+        let geo = p.map.geometry();
+        let mut items = vec![0u64; geo.n_partitions()];
+        for site in &self.sites {
+            for &item in site.store.keys() {
+                items[geo.partition_of(item) as usize] += 1;
+            }
+        }
+        if let Some(part) = (0..items.len()).find(|&i| items[i] != p.items[i]) {
+            panic!(
+                "partition {part}: maintained item count {} but the site stores hold {}",
+                p.items[part], items[part]
             );
         }
     }
@@ -2354,16 +2405,23 @@ impl HybridSystem {
             .filter(|&(&item, _)| geo.partition_of(item) == partition)
             .map(|(&item, &stamp)| (item, stamp))
             .collect();
+        let mut already_held = 0;
         for (item, stamp) in moved {
             self.sites[from].store.remove(&item);
-            self.sites[to]
-                .store
-                .entry(item)
-                .and_modify(|e| *e = (*e).max(stamp))
-                .or_insert(stamp);
+            match self.sites[to].store.entry(item) {
+                Entry::Occupied(mut e) => {
+                    *e.get_mut() = (*e.get()).max(stamp);
+                    already_held += 1;
+                }
+                Entry::Vacant(e) => {
+                    e.insert(stamp);
+                }
+            }
         }
         {
             let p = self.placement.as_mut().expect("checked");
+            // An item the target already held was counted at both sites.
+            p.items[partition as usize] -= already_held;
             p.map.apply(&Migration {
                 partition,
                 from: from as u32,
@@ -2992,7 +3050,7 @@ impl HybridSystem {
                 // application as redo-logged.
                 JobKind::ApplyCommit { writes, .. } => {
                     for &(l, stamp) in &writes {
-                        self.sites[s].store.insert(l, stamp);
+                        self.write_master(s, l, stamp);
                     }
                     self.placement_commit_applied(now, &writes);
                     self.pool_writes.put(writes);
@@ -3184,7 +3242,6 @@ impl HybridSystem {
     }
 
     fn finalize(&mut self) -> RunMetrics {
-        let window = self.end - SimTime::from_secs(self.cfg.warmup);
         let rho_local = self
             .sites
             .iter()
@@ -3209,7 +3266,6 @@ impl HybridSystem {
             })
             .sum::<f64>()
             / self.centrals.len() as f64;
-        let _ = window;
         let by_kind = self.msg_counts.sorted();
         let downtime = self
             .cfg
@@ -3285,6 +3341,12 @@ impl HybridSystem {
     /// grants. Entry sizes are fixed estimates (a map entry's key, value,
     /// and bucket overhead), so the figure is comparable across backends
     /// and shard counts rather than allocator-exact.
+    ///
+    /// The transaction and job terms are slab capacities times
+    /// `size_of::<Option<Txn>>()` and the job-slot size, and perfbench's
+    /// digests hash the result: changing either size, or the slabs'
+    /// growth, changes every perfbench digest. The sizes are pinned by
+    /// `tests::state_bytes_layout_is_pinned`.
     fn state_bytes(&self) -> u64 {
         const STORE_ENTRY: usize = 24;
         const GRANT_ENTRY: usize = 48;
@@ -3309,4 +3371,30 @@ impl HybridSystem {
 /// inconsistent configuration.
 pub fn run_simulation(cfg: SystemConfig, router: RouterSpec) -> Result<RunMetrics, ConfigError> {
     Ok(HybridSystem::new(cfg, router)?.run())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `state_bytes` multiplies these two sizes by the transaction and
+    /// job slab capacities, and perfbench's digests hash
+    /// `ScaleReport.state_bytes`: changing either size, or the slabs'
+    /// growth, changes every perfbench digest. Measured on x86_64 with
+    /// rustc 1.95.0. A layout change has to re-pin the digests on
+    /// purpose, and this test says so before the benchmark does.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn state_bytes_layout_is_pinned() {
+        assert_eq!(
+            std::mem::size_of::<Option<Txn>>(),
+            192,
+            "Option<Txn> changed size: every perfbench digest moves with it"
+        );
+        assert_eq!(
+            JobSlab::<JobKind, EventKey>::SLOT_BYTES,
+            88,
+            "the job slot changed size: every perfbench digest moves with it"
+        );
+    }
 }

@@ -2,7 +2,7 @@
 //! (ISSUE 8).
 //!
 //! The `hls-placement` subsystem moves partition homes between sites at
-//! runtime and reclassifies transactions A↔B against the live map. Four
+//! runtime and reclassifies transactions A↔B against the live map. Five
 //! contracts are pinned here:
 //!
 //! 1. **Static placement with no drift is the paper's system, bit for
@@ -22,6 +22,10 @@
 //! 4. **Adaptation pays off.** Under hot-partition drift the live
 //!    class-B admission rate lands below the frozen epoch-0
 //!    counterfactual measured on the same transaction stream.
+//! 5. **The controller's item counts stay exact.** Under validation, the
+//!    per-partition counts the runtime keeps as master copies are
+//!    written equal a full rescan of the site stores, through
+//!    switchovers and site and central crashes.
 
 use hls_core::{
     replicate_jobs, run_simulation, DeadlockVictim, DriftSpec, FaultSchedule, HybridSystem,
@@ -256,5 +260,40 @@ fn adaptive_runs_survive_crashes() {
         report.divergent.is_empty(),
         "replicas diverged on {} items",
         report.divergent.len()
+    );
+}
+
+#[test]
+fn validated_adaptive_run_keeps_item_counts_through_crashes() {
+    // `run_validated` compares the placement runtime's maintained
+    // per-partition item counts with a full rescan of the site stores at
+    // every controller tick and at the end of the run. This config drives
+    // every path that changes those counts: local commits, commit
+    // applications, switchovers, and the redo-logged commit applications
+    // a site crash finds queued on the site's CPU. At this seed the
+    // site 0 crash evicts six queued commit applications.
+    let mut cfg = drifting("hot:25:0.9", 60.0, 5.0);
+    cfg.fault_schedule = FaultSchedule::empty()
+        .site_outage(2, 12.0, 20.0)
+        .central_outage(30.0, 36.0)
+        .site_outage(0, 45.0, 51.0);
+    cfg.failure_aware = true;
+    let m = HybridSystem::new(cfg, RouterSpec::Static { p_ship: 0.5 })
+        .expect("valid config")
+        .run_validated();
+    let p = m.placement.as_ref().expect("adaptive policy must report");
+    assert!(
+        p.migrations_completed > 0,
+        "no switchover ran under validation: {p:#?}"
+    );
+    assert!(
+        m.availability.crash_aborts_site > 0,
+        "no site crash took effect: {:#?}",
+        m.availability
+    );
+    assert!(
+        m.availability.crash_aborts_central > 0,
+        "the central crash took no effect: {:#?}",
+        m.availability
     );
 }
