@@ -1,7 +1,7 @@
 //! Microbenchmarks of the lock manager.
 
 use hls_bench::microbench::{bench, bench_with};
-use hls_lockmgr::{LockId, LockMode, LockTable, OwnerId};
+use hls_lockmgr::{LockId, LockMode, LockTable, OwnerId, RequestOutcome};
 use std::hint::black_box;
 
 fn bench_uncontended() {
@@ -45,6 +45,54 @@ fn bench_contended() {
             table.waiter_count()
         },
     );
+}
+
+/// Request, probe and release as the event loop drives them: 64 owners
+/// churn over 8 hot locks on a long-lived table. A waiting owner, or one
+/// holding three locks, releases everything when next scheduled (the
+/// abort/commit pattern), so queues keep building and draining. As in
+/// `HybridSystem::break_deadlocks` under the default victim rule, every
+/// queued request is followed by `in_deadlock`, and a deadlocked
+/// requester runs `release_all`.
+fn bench_hot_churn_probed() {
+    const OWNERS: usize = 64;
+    const LOCKS: u32 = 8;
+    const STEPS: u32 = 40_000;
+    let mut table = LockTable::new();
+    bench("locks/hot_churn_64x8_probed", || {
+        let mut waiting = [false; OWNERS];
+        let mut held = [0u32; OWNERS];
+        for i in 0..STEPS {
+            let idx = (i as usize * 31) % OWNERS;
+            let owner = OwnerId(idx as u64);
+            if waiting[idx] || held[idx] >= 3 {
+                black_box(table.release_all(owner));
+                waiting[idx] = false;
+                held[idx] = 0;
+                continue;
+            }
+            let lock = LockId((i.wrapping_mul(0x9E37) >> 7) & (LOCKS - 1));
+            let mode = if i % 4 == 0 {
+                LockMode::Shared
+            } else {
+                LockMode::Exclusive
+            };
+            match table.request(owner, lock, mode) {
+                RequestOutcome::Queued if table.in_deadlock(owner) => {
+                    black_box(table.release_all(owner));
+                    held[idx] = 0;
+                }
+                RequestOutcome::Queued => waiting[idx] = true,
+                RequestOutcome::Granted => held[idx] += 1,
+                RequestOutcome::AlreadyHeld => {}
+            }
+        }
+        // Drain so every iteration starts from an empty table.
+        for owner in 0..OWNERS as u64 {
+            table.release_all(OwnerId(owner));
+        }
+        table.waiter_count()
+    });
 }
 
 /// Mean wait-for cycle length on perfbench's `contended` workload.
@@ -152,6 +200,7 @@ fn bench_force_acquire() {
 fn main() {
     bench_uncontended();
     bench_contended();
+    bench_hot_churn_probed();
     bench_deadlock_check();
     bench_force_acquire();
 }

@@ -19,8 +19,8 @@
 //! edges alone, without hashing, and a caller that asks for the cycle's
 //! members gets one depth-first search. The earlier scan-based semantics are
 //! preserved verbatim as [`model::ReferenceLockTable`], the oracle for
-//! the model-based differential suite in `tests/differential.rs` and the
-//! baseline for the `lock_bench` microbenchmark.
+//! the model-based differential suite in `tests/differential.rs`. The
+//! indexed table's speedups over it are recorded in EXPERIMENTS.md.
 //!
 //! # Examples
 //!

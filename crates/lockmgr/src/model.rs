@@ -8,8 +8,8 @@
 //! re-derives state instead of maintaining indexes — so it serves as an
 //! executable specification: the differential suite in
 //! `tests/differential.rs` replays random operation sequences through
-//! both tables and requires identical outcomes after every step, and
-//! `lock_bench` measures the production table's speedup against it.
+//! both tables and requires identical outcomes after every step.
+//! EXPERIMENTS.md records the production table's speedups against it.
 //!
 //! Do **not** optimize this module. Its value is that it is too simple
 //! to be wrong in the same way the indexed table could be.
