@@ -741,8 +741,8 @@ impl HybridSystem {
     /// Runs to the horizon with **validation**: after every simulation
     /// event, each site's and the central complex's
     /// [`hls_lockmgr::LockTable::check_invariants`] is executed, so any
-    /// corruption of the wait-for graph, the owner index, or the arena
-    /// queues panics at the event that introduced it rather than
+    /// corruption of the holder-edge counts, the owner and entry slots,
+    /// or the arena queues panics at the event that introduced it rather than
     /// surfacing as skewed metrics. Under adaptive placement, the
     /// maintained per-partition item counts are also compared with a
     /// full rescan of the site stores at every controller tick and at

@@ -112,8 +112,8 @@ fn backoff_window_knob_bounds_the_recorded_delays() {
 /// site, central, and link outages hammers every release path (crashes
 /// clear whole tables, victims cancel waits, authentication force-
 /// acquires), while [`HybridSystem::run_validated`] re-checks the
-/// wait-for graph, owner index, and arena queues of every table after
-/// **each** event. Validation itself must be metrics-neutral.
+/// holder-edge counts, owner and entry slots, and arena queues of every
+/// table after **each** event. Validation itself must be metrics-neutral.
 #[test]
 fn faulted_contended_run_preserves_lock_invariants() {
     let mut cfg = contended_config().with_horizon(60.0, 10.0);

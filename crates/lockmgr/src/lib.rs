@@ -10,17 +10,21 @@
 //!
 //! The production [`LockTable`] is the *indexed* implementation: each
 //! owner that holds or waits is interned into a dense per-table slot
-//! (its wait handle, held locks, incoming holder-edge count and probe
-//! stamp), an explicit wait-for graph over slots is updated incrementally
-//! on grant/enqueue/release, and waiter queues live in an arena addressed
-//! by stable `u32` handles with free-list reuse — so the release paths
-//! never scan the table. Both deadlock probes return at once when no
-//! edge enters the probed owner. Past that exit a verdict walks holder
-//! edges alone, without hashing, and a caller that asks for the cycle's
-//! members gets one depth-first search. The earlier scan-based semantics are
-//! preserved verbatim as [`model::ReferenceLockTable`], the oracle for
-//! the model-based differential suite in `tests/differential.rs`. The
-//! indexed table's speedups over it are recorded in EXPERIMENTS.md.
+//! (its wait, held locks, incoming holder-edge count and probe stamp),
+//! each lock in use into a dense entry slot (holders, FIFO queue ends,
+//! coherence count), and waiter queues live in an arena addressed by
+//! stable `u32` handles. All three recycle freed places through free
+//! lists, so the release paths never scan the table and a steady state
+//! reuses its memory. The wait-for graph is implicit: a waiter's blockers
+//! are read off its entry's holders and the waiters ahead of it in the
+//! FIFO when a probe needs them, and no edge is stored. Both deadlock
+//! probes return at once when no edge enters the probed owner. Past that
+//! exit a verdict walks holder edges alone, without hashing, and a caller
+//! that asks for the cycle's members gets one depth-first search. The
+//! earlier scan-based semantics are preserved verbatim as
+//! [`model::ReferenceLockTable`], the oracle for the model-based
+//! differential suite in `tests/differential.rs`. The indexed table's
+//! speedups over it are recorded in EXPERIMENTS.md.
 //!
 //! # Examples
 //!

@@ -12,7 +12,8 @@
 //! * identical deadlock verdicts and identical cycles, member for member
 //!   and in order, for every owner,
 //! * both tables' `check_invariants` (the indexed one cross-checks its
-//!   wait-for edges, owner index and arena against the raw entries).
+//!   holder-edge counts, owner and entry slots and arena against the raw
+//!   entries).
 //!
 //! Three generator profiles share the generator, the checks and the
 //! shrinker. `WIDE` spreads 12 owners over 12 locks with every operation

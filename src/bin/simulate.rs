@@ -209,6 +209,13 @@ impl Args {
                 self.warmup
             ));
         }
+        if self.warmup >= self.sim_time {
+            return Err(format!(
+                "--warmup ({} s) must be shorter than --sim-time ({} s); --warmup defaults \
+                 to 60 s, so pass a smaller --warmup with a short --sim-time",
+                self.warmup, self.sim_time
+            ));
+        }
         if !(0.0..=1.0).contains(&self.p_local) {
             return Err(format!(
                 "--p-local is a probability and must lie in [0, 1] (got {})",
@@ -875,6 +882,20 @@ mod tests {
         // run serially without notice.
         let e = parse_args(&["--sim-threads", "4"]).expect_err("must reject");
         assert_eq!(e, "unknown argument: --sim-threads");
+    }
+
+    #[test]
+    fn warmup_longer_than_the_run_names_both_flags() {
+        // The 60 s default warmup leaves a 60 s run no measurement window.
+        let e = parse_args(&["--sim-time", "60"]).expect_err("must reject");
+        assert!(
+            e.contains("--warmup (60 s)")
+                && e.contains("--sim-time (60 s)")
+                && e.contains("defaults to 60 s"),
+            "{e}"
+        );
+        let a = parse_args(&["--sim-time", "60", "--warmup", "10"]).expect("valid");
+        assert_eq!((a.sim_time, a.warmup), (60.0, 10.0));
     }
 
     #[test]
