@@ -130,6 +130,52 @@ fn faulted_contended_run_preserves_lock_invariants() {
     assert_eq!(plain, validated, "invariant checking changed the metrics");
 }
 
+/// The profile's `lock.*` rows count every lock-table operation exactly,
+/// including those made on tables that a site or central crash then
+/// throws away. The faulted contended run, sharded in two so a
+/// cross-shard denial cancels a wait, reaches all five operations.
+#[test]
+fn profile_counts_every_lock_operation() {
+    let mut cfg = contended_config().with_horizon(60.0, 10.0).with_shards(2);
+    cfg.fault_schedule = FaultSchedule::empty()
+        .site_outage(0, 15.0, 30.0)
+        .central_outage(35.0, 42.0)
+        .link_outage(3, 20.0, 28.0);
+    cfg.failure_aware = true;
+    cfg.obs = ObsConfig {
+        profile: true,
+        ..ObsConfig::default()
+    };
+    let m = run_simulation(cfg, RouterSpec::QueueLength).expect("valid");
+    assert!(m.availability.crash_aborts_site > 0, "no site crash kill");
+    assert!(
+        m.availability.crash_aborts_central > 0,
+        "no central crash kill"
+    );
+    let profile = &m.obs.expect("report").profile;
+    let calls = |name: &str| profile.get(name).map_or(0, |e| e.calls);
+    let counted: Vec<(&str, u64)> = [
+        "lock.request",
+        "lock.release_all",
+        "lock.cancel_wait",
+        "lock.force_acquire",
+        "lock.deadlock_scan",
+    ]
+    .into_iter()
+    .map(|name| (name, calls(name)))
+    .collect();
+    assert_eq!(
+        counted,
+        vec![
+            ("lock.request", 20344),
+            ("lock.release_all", 9430),
+            ("lock.cancel_wait", 6460),
+            ("lock.force_acquire", 190),
+            ("lock.deadlock_scan", 8604),
+        ]
+    );
+}
+
 /// A sink that shares its buffer with the test, since `run_with_sink`
 /// returns an opaque `Box<dyn TraceSink>`.
 #[derive(Debug)]
