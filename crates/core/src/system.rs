@@ -25,9 +25,9 @@ use std::collections::VecDeque;
 
 use hls_analytic::Observed;
 use hls_faults::FaultKind;
-use hls_lockmgr::{Grant, LockId, LockMode, LockStats, LockTable, OwnerId, RequestOutcome};
+use hls_lockmgr::{Grant, LockId, LockMode, LockTable, OwnerId, RequestOutcome};
 use hls_net::{Envelope, NodeId, StarNetwork};
-use hls_obs::{Profiler, Timer, TraceSink, TOTAL_KEY};
+use hls_obs::{Profiler, TraceSink, TOTAL_KEY};
 use hls_sim::{
     EventKey, EventQueue, FxHashMap, Job, MultiServer, RngStreams, SimDuration, SimRng, SimTime,
 };
@@ -506,7 +506,7 @@ impl HybridSystem {
                 .map(|_| ArrivalProcess::new(cfg.arrival_profile.clone()))
                 .collect(),
         };
-        let mut sites: Vec<SiteState> = (0..n)
+        let sites: Vec<SiteState> = (0..n)
             .map(|i| SiteState {
                 cpu: MultiServer::new(1, cfg.site_mips_of(i)),
                 locks: LockTable::new(),
@@ -522,7 +522,7 @@ impl HybridSystem {
             .resolve(n)
             .expect("shard spec validated with the config");
         let n_shards = shard_map.n_shards();
-        let mut centrals: Vec<CentralState> = (0..n_shards)
+        let centrals: Vec<CentralState> = (0..n_shards)
             .map(|k| CentralState {
                 cpu: MultiServer::new(cfg.params.central_servers, cfg.central_mips_of(k)),
                 locks: LockTable::new(),
@@ -532,14 +532,6 @@ impl HybridSystem {
                 foreign_auth: FxHashMap::default(),
             })
             .collect();
-        if cfg.obs.profile {
-            for s in &mut sites {
-                s.locks.set_profiling(true);
-            }
-            for c in &mut centrals {
-                c.locks.set_profiling(true);
-            }
-        }
         let warmup = SimTime::from_secs(cfg.warmup);
         let mut metrics = MetricsCollector::new(warmup);
         if cfg.obs.histograms {
@@ -648,16 +640,10 @@ impl HybridSystem {
         })
     }
 
-    /// Enables protocol-event tracing (see [`Trace`]); use
-    /// [`HybridSystem::run_traced`] to retrieve the trace.
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(TraceTarget::Memory(Trace::new()));
-    }
-
     /// Runs with tracing enabled, returning metrics and the protocol trace.
     #[must_use]
     pub fn run_traced(mut self) -> (RunMetrics, Trace) {
-        self.enable_trace();
+        self.trace = Some(TraceTarget::Memory(Trace::new()));
         let metrics = self.run_internal();
         let trace = match self.trace.take() {
             Some(TraceTarget::Memory(t)) => t,
@@ -766,7 +752,7 @@ impl HybridSystem {
     /// # Panics
     ///
     /// Panics if any table's indexes disagree with its entries.
-    pub fn check_lock_invariants(&self) {
+    fn check_lock_invariants(&self) {
         for site in &self.sites {
             site.locks.check_invariants();
         }
@@ -830,7 +816,7 @@ impl HybridSystem {
     }
 
     fn run_internal(&mut self) -> RunMetrics {
-        let total = Timer::start_if(self.profiler.enabled());
+        let total = self.profiler.start();
         for site in 0..self.cfg.params.n_sites {
             let first = {
                 let rng = &mut self.site_rngs[site];
@@ -883,7 +869,7 @@ impl HybridSystem {
     // ------------------------------------------------------------------
 
     fn handle(&mut self, now: SimTime, ev: Ev) {
-        let timer = Timer::start_if(self.profiler.enabled());
+        let timer = self.profiler.start();
         let key = ev_key(&ev);
         self.dispatch(now, ev);
         self.profiler.stop(key, timer);
@@ -1023,7 +1009,7 @@ impl HybridSystem {
 
         let route = if spec.class == TxnClass::B {
             let ok = central_ok && (!remote_mode || local_ok);
-            let timer = Timer::start_if(self.profiler.enabled());
+            let timer = self.profiler.start();
             let decision = self
                 .router
                 .decide_class_b(ok, attempt < self.cfg.fault_max_retries);
@@ -1060,7 +1046,7 @@ impl HybridSystem {
                 }
             }
         } else {
-            let timer = Timer::start_if(self.profiler.enabled());
+            let timer = self.profiler.start();
             let decision = {
                 let obs = self.observe(site);
                 let mut ctx = RouteCtx {
@@ -1456,11 +1442,7 @@ impl HybridSystem {
             }
         }
         let owner = OwnerId(id);
-        let table = match loc {
-            Locale::Site(i) => &mut self.sites[i].locks,
-            Locale::Central(k) => &mut self.centrals[k].locks,
-        };
-        match table.request(owner, lock, mode) {
+        match self.lock_op(loc, "lock.request", |t| t.request(owner, lock, mode)) {
             RequestOutcome::Granted | RequestOutcome::AlreadyHeld => {
                 self.after_lock_granted(now, id);
             }
@@ -1491,7 +1473,7 @@ impl HybridSystem {
                 if table.waiting_for(OwnerId(requester)).is_none() {
                     return; // granted while breaking a previous cycle
                 }
-                let timer = Timer::start_if(self.profiler.enabled());
+                let timer = self.profiler.start();
                 if self.cfg.deadlock_victim == DeadlockVictim::Requester {
                     // This rule reads only the verdict, never the cycle.
                     let deadlocked = table.in_deadlock(OwnerId(requester));
@@ -1506,10 +1488,7 @@ impl HybridSystem {
             let Some(victim) = victim else {
                 return;
             };
-            let grants = match loc {
-                Locale::Site(i) => self.sites[i].locks.release_all(OwnerId(victim)),
-                Locale::Central(k) => self.centrals[k].locks.release_all(OwnerId(victim)),
-            };
+            let grants = self.lock_op(loc, "lock.release_all", |t| t.release_all(OwnerId(victim)));
             let route = match loc {
                 Locale::Site(_) => {
                     self.metrics.on_abort(now, |a| a.deadlock_local += 1);
@@ -1729,7 +1708,9 @@ impl HybridSystem {
         let site = self.txns[id].spec.origin;
         let owner = OwnerId(id);
 
-        let grants = self.sites[site].locks.release_all(owner);
+        let grants = self.lock_op(Locale::Site(site), "lock.release_all", |t| {
+            t.release_all(owner)
+        });
         self.resume_grants(now, &grants, Locale::Site(site));
 
         let mut updated = self.pool_lockids.take();
@@ -1981,7 +1962,9 @@ impl HybridSystem {
         if positive {
             let owner = OwnerId(id);
             for &(lock, mode) in locks {
-                let out = self.sites[site].locks.force_acquire(lock, owner, mode);
+                let out = self.lock_op(Locale::Site(site), "lock.force_acquire", |t| {
+                    t.force_acquire(lock, owner, mode)
+                });
                 for victim in out.displaced {
                     if let Some(t) = self.txns.get_mut(victim.0) {
                         if !t.marked_abort {
@@ -2097,7 +2080,9 @@ impl HybridSystem {
             }
             self.pool_lockids.put(updated);
             let owner = OwnerId(id);
-            let grants = self.centrals[k].locks.release_all(owner);
+            let grants = self.lock_op(Locale::Central(k), "lock.release_all", |t| {
+                t.release_all(owner)
+            });
             self.resume_grants(now, &grants, Locale::Central(k));
             self.centrals[k].n_txns -= 1;
             {
@@ -2184,7 +2169,9 @@ impl HybridSystem {
         for &(l, stamp) in writes {
             self.write_master(site, l, stamp);
         }
-        let grants = self.sites[site].locks.release_all(OwnerId(id));
+        let grants = self.lock_op(Locale::Site(site), "lock.release_all", |t| {
+            t.release_all(OwnerId(id))
+        });
         self.resume_grants(now, &grants, Locale::Site(site));
         self.placement_commit_applied(now, writes);
     }
@@ -2492,11 +2479,12 @@ impl HybridSystem {
             return;
         }
         let owner = OwnerId(id);
-        let granted = match self.centrals[j].locks.request(owner, lock, mode) {
+        let loc = Locale::Central(j);
+        let granted = match self.lock_op(loc, "lock.request", |t| t.request(owner, lock, mode)) {
             RequestOutcome::Granted | RequestOutcome::AlreadyHeld => true,
             RequestOutcome::Queued => {
-                let grants = self.centrals[j].locks.cancel_wait(owner);
-                self.resume_grants(now, &grants, Locale::Central(j));
+                let grants = self.lock_op(loc, "lock.cancel_wait", |t| t.cancel_wait(owner));
+                self.resume_grants(now, &grants, loc);
                 false
             }
         };
@@ -2531,7 +2519,9 @@ impl HybridSystem {
         }
         debug_assert_eq!(txn.phase, Phase::LockWait, "denied txn must be blocked");
         self.cross_denials += 1;
-        let grants = self.centrals[k].locks.release_all(OwnerId(id));
+        let grants = self.lock_op(Locale::Central(k), "lock.release_all", |t| {
+            t.release_all(OwnerId(id))
+        });
         self.metrics.on_abort(now, |a| a.deadlock_central += 1);
         self.trace(now, || TraceEvent::DeadlockAbort {
             txn: id,
@@ -2649,7 +2639,9 @@ impl HybridSystem {
         for &(l, stamp) in writes {
             self.centrals[j].store.insert(l, stamp);
         }
-        let grants = self.centrals[j].locks.release_all(OwnerId(id));
+        let grants = self.lock_op(Locale::Central(j), "lock.release_all", |t| {
+            t.release_all(OwnerId(id))
+        });
         self.resume_grants(now, &grants, Locale::Central(j));
         if let Some(entry) = self.centrals[j].foreign_auth.remove(&id) {
             self.pool_sites.put(entry.sites);
@@ -2686,8 +2678,28 @@ impl HybridSystem {
     }
 
     // ------------------------------------------------------------------
-    // Lock grant resumption
+    // Lock-table operations and grant resumption
     // ------------------------------------------------------------------
+
+    /// Runs `op` on the lock table at `loc`, timed under the profile row
+    /// `key`. The timer covers the table call alone: callers resume the
+    /// grants it returns afterwards, so a `net.send` that a grant leads
+    /// to is never nested inside a `lock.*` row.
+    fn lock_op<R>(
+        &mut self,
+        loc: Locale,
+        key: &'static str,
+        op: impl FnOnce(&mut LockTable) -> R,
+    ) -> R {
+        let table = match loc {
+            Locale::Site(i) => &mut self.sites[i].locks,
+            Locale::Central(k) => &mut self.centrals[k].locks,
+        };
+        let timer = self.profiler.start();
+        let out = op(table);
+        self.profiler.stop(key, timer);
+        out
+    }
 
     fn resume_grants(&mut self, now: SimTime, grants: &[Grant], loc: Locale) {
         for g in grants {
@@ -2713,7 +2725,7 @@ impl HybridSystem {
     // ------------------------------------------------------------------
 
     fn send(&mut self, now: SimTime, from: NodeId, to: NodeId, msg: Msg) {
-        let timer = Timer::start_if(self.profiler.enabled());
+        let timer = self.profiler.start();
         self.msg_counts.record(&msg);
         // Every message from the central complex to a local site carries a
         // state snapshot (of the sending shard) for the routing strategies.
@@ -2819,7 +2831,9 @@ impl HybridSystem {
             }
             Msg::AuthRelease { txn } => {
                 let site = to.local_index();
-                let grants = self.sites[site].locks.release_all(OwnerId(txn));
+                let grants = self.lock_op(Locale::Site(site), "lock.release_all", |t| {
+                    t.release_all(OwnerId(txn))
+                });
                 self.resume_grants(now, &grants, Locale::Site(site));
             }
             Msg::CommitMsg { txn, writes } => {
@@ -2949,7 +2963,9 @@ impl HybridSystem {
             Msg::ShardRelease { txn } => {
                 debug_assert!(to.is_central());
                 let s = to.shard_index();
-                let grants = self.centrals[s].locks.release_all(OwnerId(txn));
+                let grants = self.lock_op(Locale::Central(s), "lock.release_all", |t| {
+                    t.release_all(OwnerId(txn))
+                });
                 self.resume_grants(now, &grants, Locale::Central(s));
             }
         }
@@ -3080,12 +3096,8 @@ impl HybridSystem {
         for id in victims {
             self.crash_kill(now, id, false);
         }
-        // The volatile lock table is lost. Its operation counters are
-        // absorbed into the profiler first so the profile survives the
-        // table replacement.
-        let lost = std::mem::replace(&mut self.sites[s].locks, LockTable::new());
-        self.absorb_lock_stats(lost.stats());
-        self.sites[s].locks.set_profiling(self.profiler.enabled());
+        // The volatile lock table is lost.
+        self.sites[s].locks = LockTable::new();
         self.sites[s].n_txns = 0;
         let h = self.shard_map.home_of(s) as usize;
         for txn in failed_auths {
@@ -3149,11 +3161,7 @@ impl HybridSystem {
             self.crash_kill(now, id, true);
         }
         for k in 0..self.n_shards {
-            let lost = std::mem::replace(&mut self.centrals[k].locks, LockTable::new());
-            self.absorb_lock_stats(lost.stats());
-            self.centrals[k]
-                .locks
-                .set_profiling(self.profiler.enabled());
+            self.centrals[k].locks = LockTable::new();
             self.centrals[k].foreign_auth.clear();
             debug_assert_eq!(self.centrals[k].n_txns, 0, "central crash left residents");
         }
@@ -3187,7 +3195,9 @@ impl HybridSystem {
         let auth_sites = std::mem::take(&mut txn.auth_sites);
         for &a in &auth_sites {
             if self.site_up[a] {
-                let grants = self.sites[a].locks.release_all(owner);
+                let grants = self.lock_op(Locale::Site(a), "lock.release_all", |t| {
+                    t.release_all(owner)
+                });
                 self.resume_grants(now, &grants, Locale::Site(a));
             }
         }
@@ -3196,11 +3206,14 @@ impl HybridSystem {
         // including cross-shard grants at foreign shards.
         if self.central_up && txn.route == Route::Central {
             let k = self.shard_map.home_of(txn.spec.origin) as usize;
-            let grants = self.centrals[k].locks.release_all(owner);
+            let grants = self.lock_op(Locale::Central(k), "lock.release_all", |t| {
+                t.release_all(owner)
+            });
             self.resume_grants(now, &grants, Locale::Central(k));
             for j in std::mem::take(&mut txn.remote_shards) {
-                let grants = self.centrals[j as usize].locks.release_all(owner);
-                self.resume_grants(now, &grants, Locale::Central(j as usize));
+                let loc = Locale::Central(j as usize);
+                let grants = self.lock_op(loc, "lock.release_all", |t| t.release_all(owner));
+                self.resume_grants(now, &grants, loc);
             }
         }
         if txn.in_central_count {
@@ -3229,17 +3242,6 @@ impl HybridSystem {
     // ------------------------------------------------------------------
     // Finalization
     // ------------------------------------------------------------------
-
-    /// Merges a lock table's operation counters into the profiler under
-    /// the `lock.*` keys (no-op when profiling is off).
-    fn absorb_lock_stats(&mut self, stats: &LockStats) {
-        self.profiler.absorb("lock.request", &stats.request);
-        self.profiler.absorb("lock.release_all", &stats.release_all);
-        self.profiler.absorb("lock.release_one", &stats.release_one);
-        self.profiler.absorb("lock.cancel_wait", &stats.cancel_wait);
-        self.profiler
-            .absorb("lock.force_acquire", &stats.force_acquire);
-    }
 
     fn finalize(&mut self) -> RunMetrics {
         let rho_local = self
@@ -3271,17 +3273,7 @@ impl HybridSystem {
             .cfg
             .fault_schedule
             .downtime_within(self.cfg.warmup, self.cfg.sim_time);
-        let profile = if self.profiler.enabled() {
-            let mut tables: Vec<LockStats> =
-                self.sites.iter().map(|s| s.locks.stats().clone()).collect();
-            tables.extend(self.centrals.iter().map(|c| c.locks.stats().clone()));
-            for stats in &tables {
-                self.absorb_lock_stats(stats);
-            }
-            Some(self.profiler.report())
-        } else {
-            None
-        };
+        let profile = self.profiler.enabled().then(|| self.profiler.report());
         let mut m = self.metrics.finalize(
             self.end,
             rho_local,

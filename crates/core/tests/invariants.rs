@@ -74,8 +74,7 @@ struct Ledger {
 /// the way: completions and crash aborts consume admitted ids exactly
 /// once, and nothing completes after it was crash-killed.
 fn audit(cfg: &SystemConfig, spec: RouterSpec) -> (RunMetrics, Ledger) {
-    let mut sys = HybridSystem::new(cfg.clone(), spec).expect("valid config");
-    sys.enable_trace();
+    let sys = HybridSystem::new(cfg.clone(), spec).expect("valid config");
     let (metrics, trace) = sys.run_traced();
     let warmup = cfg.warmup;
     let mut led = Ledger::default();

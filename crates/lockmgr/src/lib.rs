@@ -26,6 +26,10 @@
 //! differential suite in `tests/differential.rs`. The indexed table's
 //! speedups over it are recorded in EXPERIMENTS.md.
 //!
+//! The table keeps no timing or call counts of its own: the simulator
+//! times each operation where it calls it, under the `lock.*` rows of its
+//! one `hls_obs::Profiler`.
+//!
 //! # Examples
 //!
 //! ```
@@ -50,5 +54,5 @@ pub mod model;
 mod table;
 mod types;
 
-pub use table::{ForceOutcome, Grant, LockStats, LockTable, RequestOutcome};
+pub use table::{ForceOutcome, Grant, LockTable, RequestOutcome};
 pub use types::{LockId, LockMode, OwnerId};

@@ -41,8 +41,8 @@ impl LockEntry {
 
 /// The scan-based reference implementation of the lock-table contract.
 ///
-/// Same public surface as [`LockTable`](crate::LockTable) (minus the
-/// profiling hooks), same semantics, none of the indexes.
+/// Same operations as [`LockTable`](crate::LockTable), same semantics,
+/// none of the indexes.
 ///
 /// # Examples
 ///
@@ -123,23 +123,6 @@ impl ReferenceLockTable {
         for lock in locks {
             self.remove_holder(lock, owner, &mut grants);
         }
-        grants
-    }
-
-    /// Releases a single lock held by `owner`, returning resulting grants.
-    pub fn release_one(&mut self, owner: OwnerId, lock: LockId) -> Vec<Grant> {
-        let Some(locks) = self.held.get_mut(&owner) else {
-            return Vec::new();
-        };
-        let Some(pos) = locks.iter().position(|&l| l == lock) else {
-            return Vec::new();
-        };
-        locks.remove(pos);
-        if locks.is_empty() {
-            self.held.remove(&owner);
-        }
-        let mut grants = Vec::new();
-        self.remove_holder(lock, owner, &mut grants);
         grants
     }
 

@@ -65,31 +65,9 @@
 
 use std::cell::{Cell, RefCell};
 
-use hls_obs::{OpStats, Timer};
 use hls_sim::{FxHashMap as FxMap, FxHashSet as FxSet};
 
 use crate::types::{LockId, LockMode, OwnerId};
-
-/// Per-operation profiling counters for one [`LockTable`].
-///
-/// Invocation counts are always maintained (a handful of integer
-/// increments per operation, with no effect on simulated outcomes);
-/// wall-clock nanoseconds accumulate only while profiling is enabled
-/// via [`LockTable::set_profiling`].
-#[derive(Debug, Clone, Default)]
-pub struct LockStats {
-    /// [`LockTable::request`] calls.
-    pub request: OpStats,
-    /// [`LockTable::release_all`] calls.
-    pub release_all: OpStats,
-    /// [`LockTable::release_one`] calls.
-    pub release_one: OpStats,
-    /// [`LockTable::cancel_wait`] calls (abort-path queue surgery).
-    pub cancel_wait: OpStats,
-    /// [`LockTable::force_acquire`] calls — the authentication-phase
-    /// hot path flagged in the ROADMAP.
-    pub force_acquire: OpStats,
-}
 
 /// Outcome of a lock request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -304,10 +282,6 @@ pub struct LockTable {
     /// Total number of (owner, lock) grants — the `n_lock` observable used
     /// by the dynamic routing strategies.
     grants: usize,
-    /// Per-operation counters; wall-clock timing gated by `profiling`.
-    stats: LockStats,
-    /// Whether operations also accumulate wall-clock time into `stats`.
-    profiling: bool,
     /// The latest probe stamp; a slot marked with a stamp of the running
     /// probe was reached by it.
     stamp: Cell<u32>,
@@ -322,26 +296,6 @@ impl LockTable {
     #[must_use]
     pub fn new() -> Self {
         LockTable::default()
-    }
-
-    /// Enables or disables wall-clock timing of lock operations.
-    /// Invocation counts in [`LockTable::stats`] are maintained either
-    /// way; timing only ever reads the host clock, so it cannot affect
-    /// simulated outcomes.
-    pub fn set_profiling(&mut self, on: bool) {
-        self.profiling = on;
-    }
-
-    /// Whether wall-clock timing is enabled.
-    #[must_use]
-    pub fn profiling(&self) -> bool {
-        self.profiling
-    }
-
-    /// The per-operation counters accumulated so far.
-    #[must_use]
-    pub fn stats(&self) -> &LockStats {
-        &self.stats
     }
 
     /// The slot of `owner`, interning it into a recycled or new slot if it
@@ -436,13 +390,6 @@ impl LockTable {
     ///
     /// Panics if `owner` is already waiting for some lock.
     pub fn request(&mut self, owner: OwnerId, lock: LockId, mode: LockMode) -> RequestOutcome {
-        let timer = Timer::start_if(self.profiling);
-        let out = self.request_impl(owner, lock, mode);
-        timer.stop_into(&mut self.stats.request);
-        out
-    }
-
-    fn request_impl(&mut self, owner: OwnerId, lock: LockId, mode: LockMode) -> RequestOutcome {
         let s = self.intern(owner);
         assert!(
             self.slots[s as usize].wait == NIL,
@@ -490,7 +437,6 @@ impl LockTable {
     /// Releases every lock held by `owner` (and cancels any pending wait),
     /// returning the grants handed to unblocked waiters, in grant order.
     pub fn release_all(&mut self, owner: OwnerId) -> Vec<Grant> {
-        let timer = Timer::start_if(self.profiling);
         let mut grants = Vec::new();
         if let Some(&s) = self.slot_of.get(&owner) {
             self.cancel_slot_wait(s, &mut grants);
@@ -503,32 +449,6 @@ impl LockTable {
             self.slots[s as usize].held = locks;
             self.release_if_idle(s);
         }
-        timer.stop_into(&mut self.stats.release_all);
-        grants
-    }
-
-    /// Releases a single lock held by `owner`, returning resulting grants.
-    ///
-    /// Returns an empty vector if `owner` does not hold `lock`.
-    pub fn release_one(&mut self, owner: OwnerId, lock: LockId) -> Vec<Grant> {
-        let timer = Timer::start_if(self.profiling);
-        let out = self.release_one_impl(owner, lock);
-        timer.stop_into(&mut self.stats.release_one);
-        out
-    }
-
-    fn release_one_impl(&mut self, owner: OwnerId, lock: LockId) -> Vec<Grant> {
-        let Some(&s) = self.slot_of.get(&owner) else {
-            return Vec::new();
-        };
-        let held = &mut self.slots[s as usize].held;
-        let Some(pos) = held.iter().position(|&l| l == lock) else {
-            return Vec::new();
-        };
-        held.remove(pos);
-        let mut grants = Vec::new();
-        self.remove_holder(lock, s, &mut grants);
-        self.release_if_idle(s);
         grants
     }
 
@@ -536,13 +456,11 @@ impl LockTable {
     /// Returns grants that become possible if `owner` was blocking others
     /// at the head of a queue.
     pub fn cancel_wait(&mut self, owner: OwnerId) -> Vec<Grant> {
-        let timer = Timer::start_if(self.profiling);
         let mut grants = Vec::new();
         if let Some(&s) = self.slot_of.get(&owner) {
             self.cancel_slot_wait(s, &mut grants);
             self.release_if_idle(s);
         }
-        timer.stop_into(&mut self.stats.cancel_wait);
         grants
     }
 
@@ -581,13 +499,6 @@ impl LockTable {
     /// were removed — e.g. queued share requests after a forced share
     /// acquisition displaces an exclusive holder.
     pub fn force_acquire(&mut self, lock: LockId, owner: OwnerId, mode: LockMode) -> ForceOutcome {
-        let timer = Timer::start_if(self.profiling);
-        let out = self.force_acquire_impl(lock, owner, mode);
-        timer.stop_into(&mut self.stats.force_acquire);
-        out
-    }
-
-    fn force_acquire_impl(&mut self, lock: LockId, owner: OwnerId, mode: LockMode) -> ForceOutcome {
         let s = self.intern(owner);
         let e = self.intern_entry(lock);
         let displaced = {
@@ -1344,18 +1255,6 @@ mod tests {
     }
 
     #[test]
-    fn release_one_keeps_other_locks() {
-        let mut t = LockTable::new();
-        t.request(o(1), l(1), Exclusive);
-        t.request(o(1), l(2), Exclusive);
-        t.release_one(o(1), l(1));
-        assert_eq!(t.held_locks(o(1)), vec![l(2)]);
-        assert_eq!(t.grants_count(), 1);
-        assert!(t.release_one(o(1), l(9)).is_empty());
-        t.check_invariants();
-    }
-
-    #[test]
     fn cancel_wait_unblocks_queue() {
         let mut t = LockTable::new();
         t.request(o(1), l(1), Shared);
@@ -1565,6 +1464,22 @@ mod tests {
         assert_eq!(t.entries.len(), 2);
         assert!(t.entry_of.is_empty());
         t.check_invariants();
+    }
+
+    /// `HybridSystem::new` builds one table inline per site and per
+    /// central shard (1,008 on perfbench's `scale` cell), and that cell's
+    /// set-up time follows the table's size: 48 bytes of padding read
+    /// 1.23× its `setup_s`. Measured on x86_64 with rustc 1.95.0. Growing
+    /// the table has to be a choice, and this test says so before the
+    /// benchmark does.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn lock_table_size_is_pinned() {
+        assert_eq!(
+            std::mem::size_of::<LockTable>(),
+            256,
+            "LockTable changed size: scale's setup_s follows it"
+        );
     }
 
     #[test]

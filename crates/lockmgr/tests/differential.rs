@@ -18,16 +18,16 @@
 //! Three generator profiles share the generator, the checks and the
 //! shrinker. `WIDE` spreads 12 owners over 12 locks with every operation
 //! kind in the mix. `DEEP` puts 64 owners on 16 mostly exclusive locks
-//! and rarely releases, so about 25 owners wait at a time (up to 56) in
-//! wait-for chains and cycles of up to 17 members: the deadlock probe
+//! and rarely releases, so about 27 owners wait at a time (up to 58) in
+//! wait-for chains and cycles of up to 20 members: the deadlock probe
 //! backtracks through long chains, owners leave the table and new ones
 //! take their place between probes, and many probed owners have no
 //! wait-for edge into them at all. `FANOUT` puts 48 owners on 8 locks
 //! with half of the requests shared and rarely releases. After a step
-//! about 1.8 of its locks carry two or more holders, against 0.17 in
-//! `DEEP`, so a probe branches at shared locks; 0.17 owners queue an
-//! upgrade of a lock they share (0.01 in `DEEP`), and 1.5 owners sit on
-//! a cycle (0.6 in `DEEP`).
+//! about 1.8 of its locks carry two or more holders, against 0.18 in
+//! `DEEP`, so a probe branches at shared locks; 0.14 owners queue an
+//! upgrade of a lock they share (0.005 in `DEEP`), and 1.7 owners sit on
+//! a cycle (0.8 in `DEEP`).
 //!
 //! Case count: the `PROPTEST_CASES` env var, per profile (default 1000
 //! wide, 200 deep and fanout), each sequence within the profile's
@@ -55,9 +55,9 @@ struct Profile {
     locks: u32,
     /// One request (or forced acquisition) in this many is shared.
     shared_one_in: u32,
-    /// Relative weights of request, release_all, release_one,
-    /// cancel_wait, force_acquire, incr_coherence and decr_coherence.
-    mix: [u32; 7],
+    /// Relative weights of request, release_all, cancel_wait,
+    /// force_acquire, incr_coherence and decr_coherence.
+    mix: [u32; 6],
     /// Operations per sequence, inclusive range.
     ops: (usize, usize),
     /// Sequences per test when `PROPTEST_CASES` is unset.
@@ -71,7 +71,7 @@ const WIDE: Profile = Profile {
     owners: 12,
     locks: 12,
     shared_one_in: 2,
-    mix: [4, 2, 1, 1, 2, 1, 1],
+    mix: [4, 2, 1, 2, 1, 1],
     ops: (200, MAX_OPS),
     default_cases: 1000,
 };
@@ -83,7 +83,7 @@ const DEEP: Profile = Profile {
     owners: 64,
     locks: 16,
     shared_one_in: 8,
-    mix: [24, 2, 1, 1, 1, 1, 1],
+    mix: [24, 2, 1, 1, 1, 1],
     ops: (200, MAX_OPS),
     // Each step checks all 64 owners' views and probes: 1,000 cases take
     // minutes in an unoptimized build, so the default is smaller.
@@ -97,7 +97,7 @@ const FANOUT: Profile = Profile {
     owners: 48,
     locks: 8,
     shared_one_in: 2,
-    mix: [24, 2, 1, 1, 1, 1, 1],
+    mix: [24, 2, 1, 1, 1, 1],
     ops: (200, MAX_OPS),
     default_cases: 200,
 };
@@ -107,7 +107,6 @@ const FANOUT: Profile = Profile {
 enum Op {
     Request(u64, u32, LockMode),
     ReleaseAll(u64),
-    ReleaseOne(u64, u32),
     CancelWait(u64),
     ForceAcquire(u64, u32, LockMode),
     IncrCoherence(u32),
@@ -119,7 +118,6 @@ impl fmt::Display for Op {
         match self {
             Op::Request(o, l, m) => write!(f, "request(T{o}, L{l}, {m})"),
             Op::ReleaseAll(o) => write!(f, "release_all(T{o})"),
-            Op::ReleaseOne(o, l) => write!(f, "release_one(T{o}, L{l})"),
             Op::CancelWait(o) => write!(f, "cancel_wait(T{o})"),
             Op::ForceAcquire(o, l, m) => write!(f, "force_acquire(L{l}, T{o}, {m})"),
             Op::IncrCoherence(l) => write!(f, "incr_coherence(L{l})"),
@@ -151,14 +149,13 @@ fn random_op(rng: &mut SimRng, p: &Profile) -> Op {
             mode(rng, p),
         ),
         1 => Op::ReleaseAll(any_owner(rng)),
-        2 => Op::ReleaseOne(any_owner(rng), rng.random_range(0..p.locks)),
-        3 => Op::CancelWait(any_owner(rng)),
-        4 => Op::ForceAcquire(
+        2 => Op::CancelWait(any_owner(rng)),
+        3 => Op::ForceAcquire(
             u64::from(rng.random_range(p.requesters..p.owners)),
             rng.random_range(0..p.locks),
             mode(rng, p),
         ),
-        5 => Op::IncrCoherence(rng.random_range(0..p.locks)),
+        4 => Op::IncrCoherence(rng.random_range(0..p.locks)),
         _ => Op::DecrCoherence(rng.random_range(0..p.locks)),
     }
 }
@@ -205,18 +202,6 @@ fn run_differential(ops: &[Op], p: &Profile) -> Result<(), (usize, String)> {
                     step,
                     a == b,
                     "release_all grants: dut {a:?} vs oracle {b:?}"
-                );
-            }
-            Op::ReleaseOne(o, l) => {
-                if oracle.waiting_for(OwnerId(o)).is_some() {
-                    continue;
-                }
-                let a = dut.release_one(OwnerId(o), LockId(l));
-                let b = oracle.release_one(OwnerId(o), LockId(l));
-                check!(
-                    step,
-                    a == b,
-                    "release_one grants: dut {a:?} vs oracle {b:?}"
                 );
             }
             Op::CancelWait(o) => {
@@ -441,7 +426,7 @@ fn shared_upgrade_differential() {
     let mut rng = SimRng::seed_from_u64(0x5EED);
     for _ in 0..200 {
         let ops: Vec<Op> = (0..MAX_OPS)
-            .map(|_| match rng.random_range(0..10) {
+            .map(|_| match rng.random_range(0..9) {
                 0..=4 => Op::Request(
                     u64::from(rng.random_range(0..6)),
                     rng.random_range(0..2),
@@ -453,8 +438,7 @@ fn shared_upgrade_differential() {
                     LockMode::Exclusive,
                 ),
                 7 => Op::ReleaseAll(u64::from(rng.random_range(0..6))),
-                8 => Op::CancelWait(u64::from(rng.random_range(0..6))),
-                _ => Op::ReleaseOne(u64::from(rng.random_range(0..6)), rng.random_range(0..2)),
+                _ => Op::CancelWait(u64::from(rng.random_range(0..6))),
             })
             .collect();
         if let Err((step, reason)) = run_differential(&ops, &WIDE) {
@@ -532,7 +516,6 @@ fn parse_corpus_ops(body: &str) -> Vec<Op> {
                     mode_of(fields),
                 ),
                 "ReleaseAll" => Op::ReleaseAll(field(fields, "owner")),
-                "ReleaseOne" => Op::ReleaseOne(field(fields, "owner"), field(fields, "lock")),
                 "CancelWait" => Op::CancelWait(field(fields, "owner")),
                 "ForceAcquire" => Op::ForceAcquire(
                     field(fields, "owner"),

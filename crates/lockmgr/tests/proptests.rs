@@ -16,10 +16,6 @@ enum Op {
     ReleaseAll {
         owner: u64,
     },
-    ReleaseOne {
-        owner: u64,
-        lock: u32,
-    },
     CancelWait {
         owner: u64,
     },
@@ -37,7 +33,7 @@ enum Op {
 }
 
 fn random_op(rng: &mut SimRng) -> Op {
-    match rng.random_range(0..7) {
+    match rng.random_range(0..6) {
         0 => Op::Request {
             owner: u64::from(rng.random_range(0..8)),
             lock: rng.random_range(0..16),
@@ -46,19 +42,15 @@ fn random_op(rng: &mut SimRng) -> Op {
         1 => Op::ReleaseAll {
             owner: u64::from(rng.random_range(0..8)),
         },
-        2 => Op::ReleaseOne {
-            owner: u64::from(rng.random_range(0..8)),
-            lock: rng.random_range(0..16),
-        },
-        3 => Op::CancelWait {
+        2 => Op::CancelWait {
             owner: u64::from(rng.random_range(0..8)),
         },
-        4 => Op::ForceAcquire {
+        3 => Op::ForceAcquire {
             owner: u64::from(rng.random_range(8..12)),
             lock: rng.random_range(0..16),
             exclusive: rng.random_range(0..2) == 0,
         },
-        5 => Op::IncrCoherence {
+        4 => Op::IncrCoherence {
             lock: rng.random_range(0..16),
         },
         _ => Op::DecrCoherence {
@@ -107,14 +99,6 @@ fn invariants_hold_under_random_ops() {
                         waiting.remove(&g.owner.0);
                     }
                     waiting.remove(&owner);
-                }
-                Op::ReleaseOne { owner, lock } => {
-                    if waiting.contains(&owner) {
-                        continue;
-                    }
-                    for g in table.release_one(OwnerId(owner), LockId(lock)) {
-                        waiting.remove(&g.owner.0);
-                    }
                 }
                 Op::CancelWait { owner } => {
                     for g in table.cancel_wait(OwnerId(owner)) {

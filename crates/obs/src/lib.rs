@@ -29,7 +29,7 @@ mod sink;
 
 pub use histogram::{HistogramSummary, LogHistogram, GROWTH, MAX_TRACKABLE, MIN_TRACKABLE};
 pub use json::{parse_json, JsonObject, JsonValue};
-pub use profiler::{OpStats, ProfileEntry, ProfileReport, Profiler, Timer, TOTAL_KEY};
+pub use profiler::{ProfileEntry, ProfileReport, Profiler, Timer, TOTAL_KEY};
 pub use sink::{
     jsonl_header, JsonlEvent, JsonlSink, MemorySink, NullSink, TraceSink, TRACE_SCHEMA,
     TRACE_SCHEMA_VERSION,

@@ -5,7 +5,10 @@
 //! clock, never the simulated clock, and every hook is a no-op when the
 //! profiler is disabled. Keys are `&'static str` subsystem labels
 //! (`"ev.msg"`, `"lock.request"`, `"net.send"`, ...) kept in a
-//! `BTreeMap` so reports are deterministically ordered.
+//! `BTreeMap` so reports are deterministically ordered. A layer is timed
+//! by its caller, around the call, and the lock tables, the routers and
+//! the network carry no timers of their own, so one profiler holds every
+//! row.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -14,51 +17,16 @@ use std::time::Instant;
 /// Invocation count plus accumulated wall-clock nanoseconds for one
 /// profiled operation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OpStats {
-    /// Number of invocations.
-    pub calls: u64,
-    /// Accumulated wall-clock nanoseconds (0 when timing is disabled).
-    pub nanos: u128,
+struct OpStats {
+    calls: u64,
+    nanos: u128,
 }
 
-impl OpStats {
-    /// Accumulated wall-clock time in seconds.
-    #[must_use]
-    pub fn secs(&self) -> f64 {
-        self.nanos as f64 * 1e-9
-    }
-
-    /// Adds `other`'s counters into `self`.
-    pub fn merge(&mut self, other: &OpStats) {
-        self.calls += other.calls;
-        self.nanos += other.nanos;
-    }
-}
-
-/// An in-flight timing started by [`Profiler::start`] (or
-/// [`Timer::start_if`]); `None` inside means timing is disabled and
+/// An in-flight timing started by [`Profiler::start`] and ended by
+/// [`Profiler::stop`]; `None` inside means timing is disabled and
 /// stopping is free.
 #[derive(Debug)]
 pub struct Timer(Option<Instant>);
-
-impl Timer {
-    /// Starts a timer only when `enabled`; otherwise returns a no-op
-    /// timer. Lets code time an operation without a [`Profiler`] in
-    /// scope (e.g. the lock table's own counters).
-    #[must_use]
-    pub fn start_if(enabled: bool) -> Timer {
-        Timer(enabled.then(Instant::now))
-    }
-
-    /// Stops the timer, adding one call (always) and the elapsed
-    /// wall-clock time (when the timer was live) into `stats`.
-    pub fn stop_into(self, stats: &mut OpStats) {
-        stats.calls += 1;
-        if let Some(t0) = self.0 {
-            stats.nanos += t0.elapsed().as_nanos();
-        }
-    }
-}
 
 /// Per-key wall-clock and invocation profiler behind an enable gate.
 ///
@@ -101,13 +69,18 @@ impl Profiler {
     /// Starts a wall-clock timing (no-op timer when disabled).
     #[must_use]
     pub fn start(&self) -> Timer {
-        Timer::start_if(self.enabled)
+        Timer(self.enabled.then(Instant::now))
     }
 
     /// Stops `timer`, charging one call and its elapsed time to `key`.
+    /// The clock is read before the row is looked up, so no row is
+    /// charged for the profiler's own bookkeeping.
     pub fn stop(&mut self, key: &'static str, timer: Timer) {
         if self.enabled {
-            timer.stop_into(self.ops.entry(key).or_default());
+            let nanos = timer.0.map_or(0, |t0| t0.elapsed().as_nanos());
+            let row = self.ops.entry(key).or_default();
+            row.calls += 1;
+            row.nanos += nanos;
         }
     }
 
@@ -115,14 +88,6 @@ impl Profiler {
     pub fn count(&mut self, key: &'static str) {
         if self.enabled {
             self.ops.entry(key).or_default().calls += 1;
-        }
-    }
-
-    /// Merges externally accumulated [`OpStats`] (e.g. from a lock
-    /// table) into `key`.
-    pub fn absorb(&mut self, key: &'static str, stats: &OpStats) {
-        if self.enabled && (stats.calls > 0 || stats.nanos > 0) {
-            self.ops.entry(key).or_default().merge(stats);
         }
     }
 
@@ -136,7 +101,7 @@ impl Profiler {
                 .map(|(k, s)| ProfileEntry {
                     name: (*k).to_string(),
                     calls: s.calls,
-                    secs: s.secs(),
+                    secs: s.nanos as f64 * 1e-9,
                 })
                 .collect(),
         }
@@ -252,7 +217,6 @@ mod tests {
         let t = p.start();
         p.stop("a", t);
         p.count("b");
-        p.absorb("c", &OpStats { calls: 3, nanos: 5 });
         assert!(p.report().is_empty());
     }
 
@@ -320,13 +284,5 @@ mod tests {
         let table = r.render_table();
         assert!(table.contains("lock.request"));
         assert!(table.contains("10.0%"), "{table}");
-    }
-
-    #[test]
-    fn timer_start_if_disabled_is_zero_cost_time() {
-        let mut s = OpStats::default();
-        Timer::start_if(false).stop_into(&mut s);
-        assert_eq!(s.calls, 1);
-        assert_eq!(s.nanos, 0);
     }
 }
